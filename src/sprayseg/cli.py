@@ -390,8 +390,13 @@ class MetricsRow:
 
 def evaluate_sample(cfg: ExperimentConfig, dataset_dir, sid: str,
                     params: ModelParams | None, concat: bool,
-                    artifacts_dir=None) -> MetricsRow:
-    """Metrics for one test sample; params=None evaluates ground truth against itself."""
+                    artifacts_dir=None, gt_fields: dict | None = None) -> MetricsRow:
+    """Metrics for one test sample; params=None evaluates ground truth against itself.
+
+    ``gt_fields`` maps sample id to its ground-truth thickness field; a missing
+    entry is deposited and stored. The caller owns it and must keep dataset and
+    gun fixed while it is in use.
+    """
     meta = read_meta(dataset_dir)
     mesh, cloud, strokes = load_dataset_sample(dataset_dir, sid)
     ncloud, nstrokes, tf = geometry.normalize(cloud, strokes, meta["scale_factor"])
@@ -416,7 +421,11 @@ def evaluate_sample(cfg: ExperimentConfig, dataset_dir, sid: str,
         w[:, :3] = w[:, :3] * tf.scale + tf.centroid
         exec_strokes.append(w)
     gun = cfg.gun()
-    gt_field = spraysim.deposit(mesh, strokes, gun)
+    if gt_fields is None:
+        gt_fields = {}
+    if sid not in gt_fields:
+        gt_fields[sid] = spraysim.deposit(mesh, strokes, gun)
+    gt_field = gt_fields[sid]
     pred_field = spraysim.deposit(mesh, exec_strokes, gun)
     pc = spraysim.paint_coverage(pred_field, gt_field).pc
     if artifacts_dir is not None:
@@ -443,7 +452,8 @@ def _write_metrics(rows: list[MetricsRow], path) -> None:
 
 
 def cmd_evaluate(cfg: ExperimentConfig, dataset_dir, out_dir, checkpoint=None,
-                 ground_truth: bool = False, concat: bool = False) -> list[MetricsRow]:
+                 ground_truth: bool = False, concat: bool = False,
+                 gt_fields: dict | None = None) -> list[MetricsRow]:
     """Evaluate the test split; writes metrics.csv plus per-sample artifacts."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -451,7 +461,8 @@ def cmd_evaluate(cfg: ExperimentConfig, dataset_dir, out_dir, checkpoint=None,
         raise CliError("evaluate needs --checkpoint or --ground-truth")
     params = None if ground_truth else load_checkpoint(checkpoint)
     _, test_ids = read_split(dataset_dir)
-    rows = [evaluate_sample(cfg, dataset_dir, sid, params, concat, artifacts_dir=out_dir)
+    rows = [evaluate_sample(cfg, dataset_dir, sid, params, concat, artifacts_dir=out_dir,
+                            gt_fields=gt_fields)
             for sid in test_ids]
     _write_metrics(rows, out_dir / "metrics.csv")
     return rows
@@ -467,10 +478,11 @@ def cmd_sweep(cfg: ExperimentConfig, dataset_dir, out_dir, param: str,
     results = []
     if param == "tau":
         ckpt = cmd_train(cfg, dataset_dir, out_dir / "model")
+        gt_fields = {}   # tau changes neither the ground truth nor the gun
         for v in values:
             run_cfg = replace(cfg, tau=float(v))
             rows = cmd_evaluate(run_cfg, dataset_dir, out_dir / f"tau_{v:g}",
-                                checkpoint=ckpt, concat=True)
+                                checkpoint=ckpt, concat=True, gt_fields=gt_fields)
             results.append((float(v), rows))
     elif param == "lambda":
         for v in values:

@@ -189,6 +189,22 @@ class TestSweep:
         assert strokes == sorted(strokes, reverse=True)
         assert (out / "sweep.svg").read_text().startswith("<svg")
 
+    def test_tau_sweep_deposits_each_ground_truth_once(self, tiny_dataset, tmp_path,
+                                                       monkeypatch):
+        cfg, data = tiny_dataset
+        _, test_ids = cli.read_split(data)
+        deposit = spraysim.deposit
+        calls = []
+        monkeypatch.setattr(spraysim, "deposit",
+                            lambda *args: calls.append(args) or deposit(*args))
+        out = tmp_path / "sweep"
+        cli.cmd_sweep(cfg, data, out, "tau", [0.05, 0.3])
+        assert len(calls) == len(test_ids) * 3   # one ground truth + two predictions
+        for sid in test_ids:
+            gt = [(out / f"tau_{v:g}" / sid / "gt_thickness.txt").read_bytes()
+                  for v in (0.05, 0.3)]
+            assert gt[0] == gt[1]
+
     def test_empty_values(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset
         with pytest.raises(cli.CliError):
@@ -223,6 +239,19 @@ class TestMainEntry:
         target.write_text("occupied\n")
         code = cli.main(["generate", "--out", str(target / "nested"), "--count", "5"])
         assert code == 2
+
+    def test_simulate_rejects_nan_pose(self, tiny_dataset, tmp_path):
+        cfg, data = tiny_dataset
+        train_ids, _ = cli.read_split(data)
+        sample = data / "samples" / train_ids[0]
+        strokes = synthdata.load_strokes(sample)
+        strokes[0][1, 0] = np.nan
+        synthdata.save_strokes(strokes, tmp_path / "strokes")
+        out = tmp_path / "thick.txt"
+        code = cli.main(["simulate", "--mesh", str(sample / "mesh.txt"),
+                         "--strokes", str(tmp_path / "strokes"), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
 
     def test_simulate_command(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset

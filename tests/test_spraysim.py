@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from sprayseg import spraysim, synthdata
 from sprayseg.geometry import TriMesh
 from sprayseg.objective import LossWeights
 from sprayseg.spraysim import (
     CoverageReport,
     SprayGunModel,
+    _visible,
     coverage_threshold,
     deposit,
     paint_coverage,
@@ -42,6 +44,152 @@ def pose_stroke(*poses):
 
 
 DOWN_POSE = [0.0, 0.0, 1.0, 0.0, 0.0, -1.0]
+
+
+def _visible_reference(origins, targets, dists, tris):
+    """Plain vectorised Möller–Trumbore over every (ray, face) pair: the oracle."""
+    v0 = tris[:, 0]
+    e1 = tris[:, 1] - v0
+    e2 = tris[:, 2] - v0
+    out = np.ones(len(targets), dtype=bool)
+    step = max(1, int(2_000_000 / max(len(tris), 1)))
+    for lo in range(0, len(targets), step):
+        hi = lo + step
+        dirs = (targets[lo:hi] - origins[lo:hi]) / dists[lo:hi, None]
+        pvec = np.cross(dirs[:, None, :], e2[None, :, :])
+        det = (pvec * e1[None, :, :]).sum(-1)
+        valid = np.abs(det) > 1e-12
+        inv = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
+        tvec = origins[lo:hi, None, :] - v0[None, :, :]
+        u = (tvec * pvec).sum(-1) * inv
+        qvec = np.cross(tvec, e1[None, :, :])
+        v = (dirs[:, None, :] * qvec).sum(-1) * inv
+        t = (qvec * e2[None, :, :]).sum(-1) * inv
+        hit = (valid & (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1.0 + 1e-12)
+               & (t > 1e-9) & (t < dists[lo:hi, None] * (1.0 - 1e-6)))
+        out[lo:hi] = ~hit.any(axis=1)
+    return out
+
+
+def assert_same_visibility(origins, targets, tris):
+    dists = np.linalg.norm(targets - origins, axis=1)
+    got = _visible(origins, targets, dists, tris)
+    want = _visible_reference(origins, targets, dists, tris)
+    assert got.dtype == bool and got.shape == (len(targets),)
+    assert np.array_equal(got, want)
+    return want
+
+
+class TestVisibleKernel:
+    """The staged kernel against the plain vectorised test, flag for flag."""
+
+    def test_random_triangle_soups(self):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            tris = rng.uniform(-1.0, 1.0, size=(150, 3, 3))
+            origins = rng.uniform(-1.5, 1.5, size=(400, 3))
+            targets = rng.uniform(-1.5, 1.5, size=(400, 3))
+            want = assert_same_visibility(origins, targets, tris)
+            assert 0 < want.sum() < len(want)
+
+    def test_degenerate_faces(self):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-1, 1, size=(40, 3))
+        b = rng.uniform(-1, 1, size=(40, 3))
+        collinear = np.stack([a, b, 0.5 * (a + b)], axis=1)
+        repeated = np.stack([a, a, b], axis=1)
+        point = np.stack([a, a, a], axis=1)
+        # edges of 1e-6 put det near the 1e-12 validity cut
+        tiny = a[:, None, :] + rng.uniform(-1e-6, 1e-6, size=(40, 3, 3))
+        tris = np.concatenate([collinear, repeated, point, tiny])
+        origins = rng.uniform(-1.5, 1.5, size=(300, 3))
+        targets = np.concatenate([a, b, rng.uniform(-1.5, 1.5, size=(220, 3))])
+        assert_same_visibility(origins, targets, tris)
+
+    def test_rays_through_shared_edges_and_vertices(self):
+        occluder = plane_mesh(half=0.5, grid=4, z=0.5)
+        tris = occluder.triangles
+        verts = occluder.vertices
+        edge_mids = 0.5 * (tris[:, [0, 1, 2]] + tris[:, [1, 2, 0]]).reshape(-1, 3)
+        aims = np.concatenate([verts, edge_mids])
+        rng = np.random.default_rng(6)
+        origins = np.concatenate([np.tile([0.0, 0.0, 1.5], (len(aims), 1)),
+                                  rng.uniform(-0.7, 0.7, size=(len(aims), 3))
+                                  + [0.0, 0.0, 1.5]])
+        aims = np.concatenate([aims, aims])
+        targets = origins + 2.0 * (aims - origins)   # each ray crosses its aim at t = d/2
+        want = assert_same_visibility(origins, targets, tris)
+        assert not want.all()
+
+    def test_targets_on_faces(self):
+        mesh = plane_mesh(half=1.0, grid=6)
+        tris = mesh.triangles
+        rng = np.random.default_rng(7)
+        w = rng.dirichlet([1.0, 1.0, 1.0], size=len(tris))
+        on_face = np.einsum("fk,fkd->fd", w, tris)
+        targets = np.concatenate([on_face, mesh.vertices])
+        origins = targets + rng.uniform(-0.5, 0.5, size=targets.shape) + [0.0, 0.0, 1.0]
+        want = assert_same_visibility(origins, targets, tris)
+        assert want.all()   # a ray is not blocked by the face its target lies on
+
+    def test_pair_just_outside_the_u_bound(self):
+        # barycentrics u = 1 + 1.5e-12, v = -0.8e-12: u alone exceeds 1 + 1e-12,
+        # but u + v does not, so the full test counts the pair as a hit
+        tris = np.array([[[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]])
+        crossing = np.array([1.0 + 1.5e-12, -0.8e-12, 0.0])
+        origins = np.array([[0.3, 0.2, 1.0]])
+        targets = origins + 2.0 * (crossing - origins)
+        want = assert_same_visibility(origins, targets, tris)
+        assert not want[0]
+
+    def test_rays_on_the_epsilon_boundaries(self):
+        # per face, aim points a rounding error away from the cuts u = -1e-12,
+        # v = -1e-12 and u + v = 1 + 1e-12, with targets beyond the face or where
+        # t meets d * (1 - 1e-6): a change in operation order flips some flags
+        rng = np.random.default_rng(10)
+        flags = []
+        for tri in rng.uniform(-1.0, 1.0, size=(400, 1, 3, 3)):
+            v0, e1, e2 = tri[0, 0], tri[0, 1] - tri[0, 0], tri[0, 2] - tri[0, 0]
+            w = rng.uniform(0.1, 0.8)
+            bary = np.array([[-1e-12, w], [w, -1e-12], [w, 1.0 + 1e-12 - w]])
+            aims = v0 + bary[:, :1] * e1 + bary[:, 1:] * e2
+            normal = np.cross(e1, e2)
+            origins = aims + rng.uniform(0.2, 1.0) * normal / np.linalg.norm(normal)
+            targets = np.concatenate([origins + 2.0 * (aims - origins),
+                                      origins + (aims - origins) / (1.0 - 1e-6)])
+            flags.append(assert_same_visibility(np.tile(origins, (2, 1)), targets, tri))
+        assert 0.2 < np.mean(flags) < 0.8
+
+    def test_zero_faces_and_zero_rays(self):
+        rng = np.random.default_rng(8)
+        origins = rng.uniform(-1, 1, size=(5, 3))
+        targets = rng.uniform(-1, 1, size=(5, 3))
+        assert assert_same_visibility(origins, targets, np.zeros((0, 3, 3))).all()
+        tris = rng.uniform(-1, 1, size=(10, 3, 3))
+        assert len(assert_same_visibility(np.zeros((0, 3)), np.zeros((0, 3)), tris)) == 0
+
+    def test_rays_span_several_chunks(self):
+        # 2000 faces leave a few dozen rays per chunk, so 900 rays cross many
+        # chunk boundaries
+        rng = np.random.default_rng(9)
+        centers = rng.uniform(-1.0, 1.0, size=(2000, 1, 3)) * [1.0, 1.0, 0.5]
+        tris = centers + rng.uniform(-0.02, 0.02, size=(2000, 3, 3))
+        origins = np.hstack([rng.uniform(-1, 1, size=(900, 2)), np.full((900, 1), 1.0)])
+        targets = np.hstack([rng.uniform(-1, 1, size=(900, 2)), np.full((900, 1), -1.0)])
+        want = assert_same_visibility(origins, targets, tris)
+        assert 0 < want.sum() < len(want)
+
+
+@pytest.mark.parametrize("category", synthdata.CATEGORIES)
+def test_deposit_field_identical_to_reference_kernel(category, monkeypatch):
+    rec = synthdata.generate_object(category, seed=0,
+                                    params=synthdata.GeneratorConfig(face_grid=3))
+    gun = SprayGunModel(cone_half_angle=np.deg2rad(45.0), max_range=0.5, flux=1.0)
+    field = deposit(rec.mesh, rec.strokes, gun)
+    monkeypatch.setattr(spraysim, "_visible", _visible_reference)
+    reference = deposit(rec.mesh, rec.strokes, gun)
+    assert field.max() > 0
+    assert np.array_equal(field, reference)
 
 
 class TestDeposit:
@@ -115,6 +263,16 @@ class TestDeposit:
         mesh = plane_mesh(half=0.2, grid=2)
         with pytest.raises(ValueError):
             deposit(mesh, [np.array([[0.0, 0, 1, 0, 0, -2.0]])], GUN)
+
+    def test_rejects_nan_position(self):
+        mesh = plane_mesh(half=0.2, grid=2)
+        with pytest.raises(ValueError, match="finite"):
+            deposit(mesh, [np.array([DOWN_POSE, [np.nan, 0, 1, 0, 0, -1]])], GUN)
+
+    def test_rejects_nan_orientation(self):
+        mesh = plane_mesh(half=0.2, grid=2)
+        with pytest.raises(ValueError, match="finite"):
+            deposit(mesh, [np.array([DOWN_POSE, [0.0, 0, 1, 0, np.nan, -1]])], GUN)
 
     def test_gun_validation(self):
         with pytest.raises(ValueError):
