@@ -315,15 +315,13 @@ def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
     return out_dir / "checkpoint.ckpt"
 
 
-def _predict_sample(params: ModelParams, cfg: ExperimentConfig, dataset_dir, sid: str):
-    """Returns (mesh, gt strokes, normalized prediction, transform)."""
-    meta = read_meta(dataset_dir)
-    mesh, cloud, strokes = load_dataset_sample(dataset_dir, sid)
-    ncloud, nstrokes, tf = geometry.normalize(cloud, strokes, meta["scale_factor"])
+def _predict_sample(params: ModelParams, dataset_dir, sid: str, scale_factor: float):
+    """Returns (normalized prediction, transform)."""
+    _, cloud, strokes = load_dataset_sample(dataset_dir, sid)
+    ncloud, _, tf = geometry.normalize(cloud, strokes, scale_factor)
     if params.config.input_points != len(ncloud):
         raise CliError("checkpoint expects a different cloud size than the dataset")
-    pred = predict(params, ncloud)
-    return mesh, strokes, nstrokes, pred, tf
+    return predict(params, ncloud), tf
 
 
 def cmd_predict(cfg: ExperimentConfig, checkpoint, dataset_dir, out_dir, ids=None) -> Path:
@@ -331,8 +329,9 @@ def cmd_predict(cfg: ExperimentConfig, checkpoint, dataset_dir, out_dir, ids=Non
     params = load_checkpoint(checkpoint)
     if ids is None:
         _, ids = read_split(dataset_dir)
+    scale = read_meta(dataset_dir)["scale_factor"]
     for sid in ids:
-        _, _, _, pred, tf = _predict_sample(params, cfg, dataset_dir, sid)
+        pred, tf = _predict_sample(params, dataset_dir, sid, scale)
         world = pred.copy()
         world[..., :3] = world[..., :3] * tf.scale + tf.centroid
         synthdata.save_strokes(list(world), out_dir / sid, stem="segment")
@@ -390,16 +389,19 @@ class MetricsRow:
 
 def evaluate_sample(cfg: ExperimentConfig, dataset_dir, sid: str,
                     params: ModelParams | None, concat: bool,
-                    artifacts_dir=None, gt_fields: dict | None = None) -> MetricsRow:
+                    artifacts_dir=None, gt_fields: dict | None = None,
+                    scale_factor: float | None = None) -> MetricsRow:
     """Metrics for one test sample; params=None evaluates ground truth against itself.
 
     ``gt_fields`` maps sample id to its ground-truth thickness field; a missing
     entry is deposited and stored. The caller owns it and must keep dataset and
-    gun fixed while it is in use.
+    gun fixed while it is in use. ``scale_factor`` is the dataset's; when None it
+    is read from the dataset metadata.
     """
-    meta = read_meta(dataset_dir)
+    if scale_factor is None:
+        scale_factor = read_meta(dataset_dir)["scale_factor"]
     mesh, cloud, strokes = load_dataset_sample(dataset_dir, sid)
-    ncloud, nstrokes, tf = geometry.normalize(cloud, strokes, meta["scale_factor"])
+    ncloud, nstrokes, tf = geometry.normalize(cloud, strokes, scale_factor)
     weights = cfg.weights()
     if params is None:
         pred = synthdata.decompose_segments(nstrokes, cfg.lam, cfg.overlap).segments
@@ -461,8 +463,9 @@ def cmd_evaluate(cfg: ExperimentConfig, dataset_dir, out_dir, checkpoint=None,
         raise CliError("evaluate needs --checkpoint or --ground-truth")
     params = None if ground_truth else load_checkpoint(checkpoint)
     _, test_ids = read_split(dataset_dir)
+    scale = read_meta(dataset_dir)["scale_factor"]
     rows = [evaluate_sample(cfg, dataset_dir, sid, params, concat, artifacts_dir=out_dir,
-                            gt_fields=gt_fields)
+                            gt_fields=gt_fields, scale_factor=scale)
             for sid in test_ids]
     _write_metrics(rows, out_dir / "metrics.csv")
     return rows

@@ -131,6 +131,8 @@ def load_point_cloud(path) -> np.ndarray:
     cloud = np.array(rows, dtype=np.float64)
     if cloud.ndim != 2 or cloud.shape[1] != 3 or len(cloud) == 0:
         raise ValueError(f"{path}: expected one 'x y z' line per point")
+    if not np.isfinite(cloud).all():
+        raise ValueError(f"{path}: non-finite coordinate")
     return cloud
 
 

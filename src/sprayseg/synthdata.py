@@ -492,6 +492,8 @@ def load_strokes(dirpath, stem: str = "stroke") -> list[np.ndarray]:
         s = np.array(rows, dtype=np.float64)
         if s.ndim != 2 or s.shape[1] != 6:
             raise ValueError(f"{p}: expected 6 values per line")
+        if not np.isfinite(s).all():
+            raise ValueError(f"{p}: non-finite pose value")
         strokes.append(s)
     return strokes
 

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,19 @@ class TestEvaluate:
         assert (d / "pred_thickness.txt").exists()
         assert rows[0].strokes <= rows[0].segments
 
+    def test_reads_dataset_metadata_once(self, tiny_checkpoint, tmp_path, monkeypatch):
+        cfg, _, ckpt = tiny_checkpoint
+        two = load_config(None, tiny_overrides(categories="cuboids,windows", face_grid=3))
+        data = cli.cmd_generate(two, tmp_path / "data")
+        train_ids, test_ids = cli.read_split(data)
+        assert len(test_ids) > 1
+        read_meta = cli.read_meta
+        calls = []
+        monkeypatch.setattr(cli, "read_meta", lambda d: calls.append(d) or read_meta(d))
+        cli.cmd_evaluate(two, data, tmp_path / "gt", ground_truth=True)
+        cli.cmd_predict(cfg, ckpt, data, tmp_path / "pred", ids=train_ids)
+        assert len(calls) == 2   # one per command, not one per sample
+
     def test_needs_checkpoint_or_flag(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset
         with pytest.raises(cli.CliError):
@@ -252,6 +267,25 @@ class TestMainEntry:
                          "--strokes", str(tmp_path / "strokes"), "--out", str(out)])
         assert code == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_non_finite_cloud_fails_naming_the_file(self, tiny_checkpoint, tmp_path,
+                                                     command, capsys):
+        _, data, ckpt = tiny_checkpoint
+        copy = tmp_path / "dataset"
+        shutil.copytree(data, copy)
+        _, test_ids = cli.read_split(copy)
+        cloud = copy / "samples" / test_ids[0] / "cloud.txt"
+        lines = cloud.read_text().splitlines()
+        lines[1] = "nan nan nan"
+        cloud.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        if command == "predict":
+            argv = ["predict", "--dataset", str(copy), "--checkpoint", str(ckpt)]
+        else:
+            argv = ["evaluate", "--dataset", str(copy), "--ground-truth", "--concat"]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert "cloud.txt" in capsys.readouterr().err
 
     def test_simulate_command(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset

@@ -62,6 +62,14 @@ class TestLoadMesh:
         assert np.array_equal(mesh.faces, again.faces)
 
 
+class TestLoadPointCloud:
+    def test_rejects_non_finite_naming_the_file(self, tmp_path):
+        path = tmp_path / "cloud.txt"
+        path.write_text("0 0 0\nnan nan nan\n1 1 1\n")
+        with pytest.raises(ValueError, match="cloud.txt"):
+            geometry.load_point_cloud(path)
+
+
 class TestSamplePointCloud:
     def test_counts_and_on_surface(self, cube_mesh_path):
         mesh, _ = geometry.load_mesh(cube_mesh_path)

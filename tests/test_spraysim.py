@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -180,16 +182,85 @@ class TestVisibleKernel:
         assert 0 < want.sum() < len(want)
 
 
+def threaded_soup():
+    """Seeded soup of 500 faces and 1500 rays: 100 rays per chunk, 15 chunks."""
+    rng = np.random.default_rng(11)
+    tris = rng.uniform(-1.0, 1.0, size=(500, 3, 3))
+    origins = rng.uniform(-1.5, 1.5, size=(1500, 3))
+    targets = rng.uniform(-1.5, 1.5, size=(1500, 3))
+    return origins, targets, np.linalg.norm(targets - origins, axis=1), tris
+
+
+class TestVisibleThreads:
+    """Chunks spread over threads: the flags do not depend on the worker count."""
+
+    # 3 workers is more threads than cores on a 2-core machine and interleaves
+    # 15 chunks unevenly
+    @pytest.mark.parametrize("workers, helper_chunks", [(1, 0), (2, 7), (3, 10)])
+    def test_worker_counts_match_reference(self, workers, helper_chunks, monkeypatch):
+        submitted = []
+
+        class CountingPool(spraysim.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(args)
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(spraysim, "_WORKERS", workers)
+        monkeypatch.setattr(spraysim, "ThreadPoolExecutor", CountingPool)
+        soup = threaded_soup()
+        want = _visible_reference(*soup)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # switch threads as often as possible
+        try:
+            got = _visible(*soup)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+        assert 0 < want.sum() < len(want)
+        # the calling thread takes chunks 0, workers, 2 * workers, ...
+        assert len(submitted) == helper_chunks
+
+    def test_one_worker_or_one_chunk_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(spraysim, "ThreadPoolExecutor", refuse)
+        origins, targets, dists, tris = threaded_soup()
+        monkeypatch.setattr(spraysim, "_WORKERS", 1)
+        assert np.array_equal(_visible(origins, targets, dists, tris),
+                              _visible_reference(origins, targets, dists, tris))
+        monkeypatch.setattr(spraysim, "_WORKERS", 2)
+        few = slice(0, 100)   # exactly one chunk
+        assert np.array_equal(_visible(origins[few], targets[few], dists[few], tris),
+                              _visible_reference(origins[few], targets[few], dists[few], tris))
+
+    def test_helper_exception_reaches_caller(self, monkeypatch):
+        class FailingPool(spraysim.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                def fail(*_):
+                    raise RuntimeError("helper chunk failed")
+                return super().submit(fail, *args)
+
+        monkeypatch.setattr(spraysim, "_WORKERS", 2)
+        monkeypatch.setattr(spraysim, "ThreadPoolExecutor", FailingPool)
+        with pytest.raises(RuntimeError, match="helper chunk failed"):
+            _visible(*threaded_soup())
+
+
 @pytest.mark.parametrize("category", synthdata.CATEGORIES)
 def test_deposit_field_identical_to_reference_kernel(category, monkeypatch):
     rec = synthdata.generate_object(category, seed=0,
                                     params=synthdata.GeneratorConfig(face_grid=3))
     gun = SprayGunModel(cone_half_angle=np.deg2rad(45.0), max_range=0.5, flux=1.0)
-    field = deposit(rec.mesh, rec.strokes, gun)
+    fields = []
+    for workers in (spraysim._WORKERS, 1):   # the default count, then serial
+        monkeypatch.setattr(spraysim, "_WORKERS", workers)
+        fields.append(deposit(rec.mesh, rec.strokes, gun))
     monkeypatch.setattr(spraysim, "_visible", _visible_reference)
     reference = deposit(rec.mesh, rec.strokes, gun)
-    assert field.max() > 0
-    assert np.array_equal(field, reference)
+    assert reference.max() > 0
+    for field in fields:
+        assert np.array_equal(field, reference)
 
 
 class TestDeposit:

@@ -198,6 +198,13 @@ class TestSerialization:
         again = synthdata.load_sample(tmp_path / "s0")
         assert record_equal(rec, again)
 
+    def test_load_strokes_rejects_non_finite_naming_the_file(self, tmp_path):
+        synthdata.save_strokes([np.array([[0.0, 0, 1, 0, 0, -1]] * 3)], tmp_path)
+        path = sorted(tmp_path.glob("stroke_*.txt"))[0]
+        path.write_text(path.read_text() + "0 0 inf 0 0 -1\n")
+        with pytest.raises(ValueError, match=path.name):
+            synthdata.load_strokes(tmp_path)
+
     def test_segment_set_invariants(self):
         with pytest.raises(ValueError):
             SegmentSet(np.zeros((3, 4, 6)), overlap=4)
