@@ -17,11 +17,10 @@ from sprayseg import (
 
 record = generate_object("cuboids", seed=3)
 strokes = downsample_strokes(record.strokes, 240)
-segments = decompose_segments(strokes, lam=4, overlap=1)
-print(f"{len(strokes)} strokes -> {len(segments)} segments of length {segments.lam}")
+target = decompose_segments(strokes, lam=4, overlap=1)
+print(f"{len(strokes)} strokes -> {len(target)} segments of length {target.shape[1]}")
 
 weights = LossWeights(alpha=0.5, orientation_weight=0.25)
-target = segments.segments
 
 # a perfect prediction gives zero Chamfer; the attraction term only vanishes
 # where begins and ends actually meet (stroke interiors, not stroke tips)

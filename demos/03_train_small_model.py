@@ -31,7 +31,7 @@ for i in range(10):
     strokes = downsample_strokes(rec.strokes, BUDGET)
     cloud = sample_point_cloud(rec.mesh, POINTS, seed=i)
     ncloud, nstrokes, _ = normalize(cloud, strokes, scale=0.4)
-    target = decompose_segments(nstrokes, LAM, 1).segments
+    target = decompose_segments(nstrokes, LAM, 1)
     samples.append(TrainingSample(cloud=ncloud, target=target))
 
 slots = output_slot_count(BUDGET, LAM, 1)

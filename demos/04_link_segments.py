@@ -14,17 +14,17 @@ from sprayseg import (
     decompose_segments,
     downsample_strokes,
     generate_object,
-    link_distance,
+    link_distances,
 )
 
 record = generate_object("cuboids", seed=11)
 strokes = downsample_strokes(record.strokes, 480)
-segments = decompose_segments(strokes, lam=4, overlap=1).segments
+segments = decompose_segments(strokes, lam=4, overlap=1)
 print(f"{len(strokes)} strokes decomposed into {len(segments)} segments")
 
 weights = LossWeights()
-consecutive = [link_distance(segments[i], segments[i + 1], weights)
-               for i in range(25)]
+scores = link_distances(segments, weights)
+consecutive = [scores[i, i + 1] for i in range(25)]
 print(f"consecutive-segment link scores: median {np.median(consecutive):.2e}")
 
 for tau in (0.0, 1e-4, 1e-2):

@@ -27,23 +27,18 @@ from .learner import (
     TrainConfig,
     TrainingSample,
     adam_step,
-    backward,
-    encoder_forward,
-    forward_with_cache,
-    head_forward,
     init_params,
     load_checkpoint,
     predict,
     save_checkpoint,
     train,
 )
-from .linker import LinkConfig, LinkGraph, build_link_graph, concatenate, link_distance
+from .linker import LinkConfig, LinkGraph, build_link_graph, concatenate, link_distances
 from .objective import (
     LossReport,
     LossWeights,
     attraction_loss,
     chamfer_segments,
-    segment_distance_sq,
     total_loss,
     weighted_pose_distance,
 )
@@ -59,7 +54,6 @@ from .synthdata import (
     CATEGORIES,
     GeneratorConfig,
     SampleRecord,
-    SegmentSet,
     decompose_segments,
     downsample_strokes,
     generate_object,
@@ -68,7 +62,6 @@ from .synthdata import (
     output_slot_count,
     save_sample,
     save_strokes,
-    segment_count,
     split_dataset,
     validate_strokes,
 )

@@ -18,6 +18,7 @@ import numpy as np
 from . import geometry, linker, spraysim, svgplot, synthdata
 from .kvio import read_keyvalues, write_keyvalues
 from .learner import (
+    MODES,
     ModelConfig,
     ModelParams,
     TrainConfig,
@@ -79,48 +80,33 @@ class ExperimentConfig:
                            lr_final=self.lr_final)
 
 
-def _parse_value(name: str, text: str, kind):
+def _parse_value(name: str, text: str, default):
+    """Parse `text` to the type of the field's default; tuples split on commas."""
     try:
-        if kind == tuple[str, ...]:
-            return tuple(t.strip() for t in text.split(",") if t.strip())
-        if kind == tuple[int, ...]:
-            return tuple(int(t) for t in text.split(",") if t.strip())
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-        return text
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(t.strip()) for t in text.split(",") if t.strip())
+        return type(default)(text)
     except ValueError as exc:
         raise CliError(f"bad value for {name}: {text!r}") from exc
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Defaults, then key-value file entries, then flag overrides."""
+    defaults = ExperimentConfig()
+    names = {f.name for f in fields(ExperimentConfig)}
+    entries = list(read_keyvalues(path).items()) if path is not None else []
+    entries += [(k, v) for k, v in (overrides or {}).items() if v is not None]
     values: dict = {}
-    spec = {f.name: f.type for f in fields(ExperimentConfig)}
-    type_of = {
-        "categories": tuple[str, ...],
-        "encoder_hidden": tuple[int, ...],
-        "head_hidden": tuple[int, ...],
-    }
-    for f in fields(ExperimentConfig):
-        if f.name not in type_of:
-            type_of[f.name] = type(getattr(ExperimentConfig(), f.name))
-    if path is not None:
-        for key, text in read_keyvalues(path).items():
-            if key not in spec:
-                raise CliError(f"unknown config key {key!r}")
-            values[key] = _parse_value(key, text, type_of[key])
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        values[key] = (_parse_value(key, value, type_of[key])
+    for key, value in entries:
+        if key not in names:
+            raise CliError(f"unknown config key {key!r}")
+        values[key] = (_parse_value(key, value, getattr(defaults, key))
                        if isinstance(value, str) else value)
     cfg = ExperimentConfig(**values)
     for cat in cfg.categories:
         if cat not in synthdata.CATEGORIES:
             raise CliError(f"unknown category {cat!r}")
-    if cfg.mode not in ("segments", "pointwise", "multipath_regression"):
+    if cfg.mode not in MODES:
         raise CliError(f"unknown mode {cfg.mode!r}")
     return cfg
 
@@ -161,30 +147,26 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> Path:
         ids = []
         for i in range(cfg.count):
             rec = synthdata.generate_object(cat, _sample_seed(cfg.seed, cat_index, i, 0), gen)
-            strokes = synthdata.downsample_strokes(rec.strokes, cfg.budget)
+            rec = replace(rec, strokes=synthdata.downsample_strokes(rec.strokes, cfg.budget))
             cloud = geometry.sample_point_cloud(
                 rec.mesh, cfg.cloud_points, seed=_sample_seed(cfg.seed, cat_index, i, 1))
             sid = f"{cat}_{i:04d}"
             ids.append(sid)
-            records[sid] = (rec, strokes, cloud)
+            records[sid] = (rec, cloud)
         cat_train, cat_test = synthdata.split_dataset(ids, seed=cfg.seed)
         train_ids.extend(cat_train)
         split_lines.extend(f"{sid} train" for sid in cat_train)
         split_lines.extend(f"{sid} test" for sid in cat_test)
     scale = 0.0
     for sid in train_ids:
-        rec, strokes, cloud = records[sid]
+        rec, cloud = records[sid]
         centroid = cloud.mean(axis=0)
         scale = max(scale, float(np.abs(cloud - centroid).max()))
-        for s in strokes:
+        for s in rec.strokes:
             scale = max(scale, float(np.abs(s[:, :3] - centroid).max()))
-    for sid, (rec, strokes, cloud) in records.items():
-        d = samples_dir / sid
-        d.mkdir(parents=True, exist_ok=True)
-        geometry.save_mesh(rec.mesh, d / "mesh.txt")
-        geometry.save_point_cloud(cloud, d / "cloud.txt")
-        synthdata.save_strokes(strokes, d)
-        write_keyvalues(d / "meta.txt", {"category": rec.category, "seed": rec.seed})
+    for sid, (rec, cloud) in records.items():
+        synthdata.save_sample(rec, samples_dir / sid)
+        geometry.save_point_cloud(cloud, samples_dir / sid / "cloud.txt")
     (out_dir / "split.txt").write_text("\n".join(sorted(split_lines)) + "\n")
     write_keyvalues(out_dir / "meta.txt", {
         "categories": ",".join(cfg.categories),
@@ -237,8 +219,8 @@ def _multipath_shape(dataset_dir, ids, budget) -> tuple[int, int]:
     return n_strokes, min(budget // n_strokes, min(lengths))
 
 
-def build_model_config(cfg: ExperimentConfig, dataset_dir, train_ids) -> ModelConfig:
-    meta = read_meta(dataset_dir)
+def build_model_config(cfg: ExperimentConfig, dataset_dir, train_ids,
+                       meta: dict) -> ModelConfig:
     if cfg.mode == "pointwise":
         lam, overlap = 1, 0
         slots = synthdata.output_slot_count(meta["budget"], lam, overlap)
@@ -254,23 +236,18 @@ def build_model_config(cfg: ExperimentConfig, dataset_dir, train_ids) -> ModelCo
 
 
 def build_training_samples(cfg: ExperimentConfig, dataset_dir, ids,
-                           model_cfg: ModelConfig) -> list[TrainingSample]:
-    meta = read_meta(dataset_dir)
-    scale = meta["scale_factor"]
+                           model_cfg: ModelConfig, meta: dict) -> list[TrainingSample]:
     samples = []
     for sid in ids:
         _, cloud, strokes = load_dataset_sample(dataset_dir, sid)
-        ncloud, nstrokes, _ = geometry.normalize(cloud, strokes, scale)
+        ncloud, nstrokes, _ = geometry.normalize(cloud, strokes, meta["scale_factor"])
         if model_cfg.mode == "multipath_regression":
             target = np.stack([
                 s[np.linspace(0, len(s) - 1, model_cfg.lam).astype(int)]
                 for s in nstrokes])
         else:
             overlap = 0 if model_cfg.mode == "pointwise" else cfg.overlap
-            target = synthdata.decompose_segments(nstrokes, model_cfg.lam, overlap).segments
-            if len(target) > model_cfg.slots:
-                raise CliError(f"{sid}: {len(target)} target segments exceed "
-                               f"{model_cfg.slots} output slots")
+            target = synthdata.decompose_segments(nstrokes, model_cfg.lam, overlap)
         samples.append(TrainingSample(cloud=ncloud, target=target))
     return samples
 
@@ -293,9 +270,10 @@ def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
     out_dir.mkdir(parents=True, exist_ok=True)
     train_ids, _ = read_split(dataset_dir)
     train_ids = _select_fraction(train_ids, cfg.fraction, cfg.seed)
+    meta = read_meta(dataset_dir)
     if model_cfg is None:
-        model_cfg = build_model_config(cfg, dataset_dir, train_ids)
-    samples = build_training_samples(cfg, dataset_dir, train_ids, model_cfg)
+        model_cfg = build_model_config(cfg, dataset_dir, train_ids, meta)
+    samples = build_training_samples(cfg, dataset_dir, train_ids, model_cfg, meta)
     initial = None
     if pretrained is not None:
         initial = load_checkpoint(pretrained)
@@ -315,15 +293,6 @@ def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
     return out_dir / "checkpoint.ckpt"
 
 
-def _predict_sample(params: ModelParams, dataset_dir, sid: str, scale_factor: float):
-    """Returns (normalized prediction, transform)."""
-    _, cloud, strokes = load_dataset_sample(dataset_dir, sid)
-    ncloud, _, tf = geometry.normalize(cloud, strokes, scale_factor)
-    if params.config.input_points != len(ncloud):
-        raise CliError("checkpoint expects a different cloud size than the dataset")
-    return predict(params, ncloud), tf
-
-
 def cmd_predict(cfg: ExperimentConfig, checkpoint, dataset_dir, out_dir, ids=None) -> Path:
     out_dir = Path(out_dir)
     params = load_checkpoint(checkpoint)
@@ -331,10 +300,10 @@ def cmd_predict(cfg: ExperimentConfig, checkpoint, dataset_dir, out_dir, ids=Non
         _, ids = read_split(dataset_dir)
     scale = read_meta(dataset_dir)["scale_factor"]
     for sid in ids:
-        pred, tf = _predict_sample(params, dataset_dir, sid, scale)
-        world = pred.copy()
-        world[..., :3] = world[..., :3] * tf.scale + tf.centroid
-        synthdata.save_strokes(list(world), out_dir / sid, stem="segment")
+        _, cloud, _ = load_dataset_sample(dataset_dir, sid)
+        ncloud, _, tf = geometry.normalize(cloud, [], scale)
+        synthdata.save_strokes(geometry.denormalize(predict(params, ncloud), tf),
+                               out_dir / sid, stem="segment")
     return out_dir
 
 
@@ -342,24 +311,17 @@ def cmd_concat(cfg: ExperimentConfig, pred_dir, dataset_dir, out_dir) -> Path:
     """Link predicted segments into strokes; files stay in world coordinates."""
     pred_dir = Path(pred_dir)
     out_dir = Path(out_dir)
-    meta = read_meta(dataset_dir)
+    scale = read_meta(dataset_dir)["scale_factor"]
     link_cfg = linker.LinkConfig(tau=cfg.tau, weights=cfg.weights())
     sample_dirs = sorted(d for d in pred_dir.iterdir() if d.is_dir())
     if not sample_dirs:
         raise CliError(f"no prediction directories under {pred_dir}")
     for d in sample_dirs:
-        segments = np.stack(synthdata.load_strokes(d, stem="segment"))
         _, cloud, _ = load_dataset_sample(dataset_dir, d.name)
-        centroid = cloud.mean(axis=0)
-        norm = segments.copy()
-        norm[..., :3] = (norm[..., :3] - centroid) / meta["scale_factor"]
-        strokes = linker.concatenate(norm, link_cfg)
-        world = []
-        for s in strokes:
-            w = s.copy()
-            w[:, :3] = w[:, :3] * meta["scale_factor"] + centroid
-            world.append(w)
-        synthdata.save_strokes(world, out_dir / d.name)
+        segments = synthdata.load_strokes(d, stem="segment")
+        _, nsegments, tf = geometry.normalize(cloud, segments, scale)
+        strokes = linker.concatenate(np.stack(nsegments), link_cfg)
+        synthdata.save_strokes(geometry.denormalize(strokes, tf), out_dir / d.name)
     return out_dir
 
 
@@ -404,10 +366,8 @@ def evaluate_sample(cfg: ExperimentConfig, dataset_dir, sid: str,
     ncloud, nstrokes, tf = geometry.normalize(cloud, strokes, scale_factor)
     weights = cfg.weights()
     if params is None:
-        pred = synthdata.decompose_segments(nstrokes, cfg.lam, cfg.overlap).segments
+        pred = synthdata.decompose_segments(nstrokes, cfg.lam, cfg.overlap)
     else:
-        if params.config.input_points != len(ncloud):
-            raise CliError("checkpoint expects a different cloud size than the dataset")
         pred = predict(params, ncloud)
     gt_poses = np.concatenate(nstrokes)
     pcd = spraysim.pose_chamfer(pred.reshape(-1, 6), gt_poses, weights) * 1e4
@@ -417,11 +377,7 @@ def evaluate_sample(cfg: ExperimentConfig, dataset_dir, sid: str,
         linked = linker.concatenate(pred, linker.LinkConfig(tau=cfg.tau, weights=weights))
     else:
         linked = list(pred)
-    exec_strokes = []
-    for s in linked:
-        w = np.asarray(s, dtype=np.float64).copy()
-        w[:, :3] = w[:, :3] * tf.scale + tf.centroid
-        exec_strokes.append(w)
+    exec_strokes = geometry.denormalize(linked, tf)
     gun = cfg.gun()
     if gt_fields is None:
         gt_fields = {}
@@ -441,15 +397,17 @@ def evaluate_sample(cfg: ExperimentConfig, dataset_dir, sid: str,
                       segments=len(pred), strokes=len(linked))
 
 
+def _means(rows: list[MetricsRow]) -> list[float]:
+    """Mean pcd, pc, segments and strokes over metrics rows."""
+    return [float(np.mean([getattr(r, k) for r in rows]))
+            for k in ("pcd", "pc", "segments", "strokes")]
+
+
 def _write_metrics(rows: list[MetricsRow], path) -> None:
     lines = ["sample_id,pcd_x1e4,pc,segments,strokes"]
     for r in rows:
         lines.append(f"{r.sample_id},{_fmt(r.pcd)},{_fmt(r.pc)},{r.segments},{r.strokes}")
-    mean_pcd = float(np.mean([r.pcd for r in rows]))
-    mean_pc = float(np.mean([r.pc for r in rows]))
-    mean_seg = float(np.mean([r.segments for r in rows]))
-    mean_str = float(np.mean([r.strokes for r in rows]))
-    lines.append(f"mean,{_fmt(mean_pcd)},{_fmt(mean_pc)},{_fmt(mean_seg)},{_fmt(mean_str)}")
+    lines.append(",".join(["mean", *map(_fmt, _means(rows))]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -473,60 +431,49 @@ def cmd_evaluate(cfg: ExperimentConfig, dataset_dir, out_dir, checkpoint=None,
 
 def cmd_sweep(cfg: ExperimentConfig, dataset_dir, out_dir, param: str,
               values: list[float]) -> Path:
-    """Train/evaluate per parameter value; emits sweep.csv and sweep.svg."""
+    """Train/evaluate per parameter value; emits sweep.csv and sweep.svg.
+
+    A tau sweep links the predictions of one model; lambda and overlap train
+    one model per value. No swept parameter changes the ground truth or the gun,
+    so each ground-truth field is deposited once per sweep.
+    """
+    if param not in ("lambda", "overlap", "tau"):
+        raise CliError("sweep parameter must be one of: lambda, overlap, tau")
     if not values:
         raise CliError("sweep needs a non-empty value list")
+    if param != "tau" and not all(float(v).is_integer() for v in values):
+        raise CliError(f"{param} values must be integers")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = []
-    if param == "tau":
-        ckpt = cmd_train(cfg, dataset_dir, out_dir / "model")
-        gt_fields = {}   # tau changes neither the ground truth nor the gun
-        for v in values:
-            run_cfg = replace(cfg, tau=float(v))
-            rows = cmd_evaluate(run_cfg, dataset_dir, out_dir / f"tau_{v:g}",
-                                checkpoint=ckpt, concat=True, gt_fields=gt_fields)
-            results.append((float(v), rows))
-    elif param == "lambda":
-        for v in values:
-            run_cfg = replace(cfg, lam=int(v), overlap=min(cfg.overlap, int(v) - 1),
-                              mode="segments" if int(v) > 1 else "pointwise")
-            ckpt = cmd_train(run_cfg, dataset_dir, out_dir / f"lambda_{int(v)}" / "model")
-            rows = cmd_evaluate(run_cfg, dataset_dir, out_dir / f"lambda_{int(v)}",
-                                checkpoint=ckpt)
-            results.append((float(v), rows))
-    elif param == "overlap":
+    ckpt = cmd_train(cfg, dataset_dir, out_dir / "model") if param == "tau" else None
+    model_cfg = None
+    if param == "overlap":
         # fixed prediction budget: slot count pinned at the overlap=1 value so
-        # PCD comparisons happen at a fixed number of predicted poses
-        meta = read_meta(dataset_dir)
-        slots = synthdata.output_slot_count(meta["budget"], cfg.lam, 1)
-        for v in values:
-            run_cfg = replace(cfg, overlap=int(v))
-            model_cfg = ModelConfig(input_points=meta["cloud_points"], lam=cfg.lam,
-                                    slots=slots, latent_dim=cfg.latent_dim,
-                                    encoder_hidden=cfg.encoder_hidden,
-                                    head_hidden=cfg.head_hidden, mode="segments")
-            ckpt = cmd_train(run_cfg, dataset_dir, out_dir / f"overlap_{int(v)}" / "model",
-                             require_coverage=False, model_cfg=model_cfg)
-            rows = cmd_evaluate(run_cfg, dataset_dir, out_dir / f"overlap_{int(v)}",
-                                checkpoint=ckpt)
-            results.append((float(v), rows))
-    else:
-        raise CliError("sweep parameter must be one of: lambda, overlap, tau")
+        # PCD comparisons happen at a fixed number of predicted poses; larger
+        # overlaps then cut more target segments than there are slots
+        model_cfg = build_model_config(replace(cfg, overlap=1, mode="segments"),
+                                       dataset_dir, [], read_meta(dataset_dir))
+    gt_fields: dict = {}
+    results = []
+    for v in values:
+        if param == "tau":
+            run_cfg, run_dir = replace(cfg, tau=float(v)), out_dir / f"tau_{v:g}"
+        else:
+            v = int(v)
+            run_cfg = (replace(cfg, overlap=v) if param == "overlap" else
+                       replace(cfg, lam=v, overlap=min(cfg.overlap, v - 1),
+                               mode="segments" if v > 1 else "pointwise"))
+            run_dir = out_dir / f"{param}_{v}"
+            ckpt = cmd_train(run_cfg, dataset_dir, run_dir / "model",
+                             require_coverage=model_cfg is None, model_cfg=model_cfg)
+        rows = cmd_evaluate(run_cfg, dataset_dir, run_dir, checkpoint=ckpt,
+                            concat=param == "tau", gt_fields=gt_fields)
+        results.append([float(v), *_means(rows)])
     lines = [f"{param},pcd_x1e4,pc,segments,strokes"]
-    xs, pcds, pcs = [], [], []
-    for v, rows in results:
-        pcd = float(np.mean([r.pcd for r in rows]))
-        pc = float(np.mean([r.pc for r in rows]))
-        seg = float(np.mean([r.segments for r in rows]))
-        stk = float(np.mean([r.strokes for r in rows]))
-        lines.append(f"{_fmt(v)},{_fmt(pcd)},{_fmt(pc)},{_fmt(seg)},{_fmt(stk)}")
-        xs.append(v)
-        pcds.append(pcd)
-        pcs.append(pc)
+    lines += [",".join(map(_fmt, r)) for r in results]
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
-    svgplot.line_plot(out_dir / "sweep.svg", xs,
-                      {"PCD (x1e4)": pcds, "PC (%)": pcs},
+    xs, pcds, pcs = ([r[i] for r in results] for i in range(3))
+    svgplot.line_plot(out_dir / "sweep.svg", xs, {"PCD (x1e4)": pcds, "PC (%)": pcs},
                       xlabel=param, ylabel="metric", title=f"{param} sweep")
     return out_dir / "sweep.csv"
 

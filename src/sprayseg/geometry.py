@@ -90,7 +90,10 @@ def load_mesh(path) -> tuple[TriMesh, int]:
             raise MeshError(f"{path}:{lineno}: {exc}") from exc
     if not verts or not faces:
         raise MeshError(f"{path}: mesh has no vertices or no faces")
-    mesh = TriMesh(np.array(verts), np.array(faces))
+    try:
+        mesh = TriMesh(np.array(verts), np.array(faces))
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
     areas = face_areas(mesh)
     keep = areas > DEGENERATE_AREA
     dropped = int((~keep).sum())
@@ -230,17 +233,11 @@ def normalize(cloud: np.ndarray, strokes: list[np.ndarray], scale: float):
     return out_cloud, out_strokes, NormalizationTransform(centroid, float(scale))
 
 
-def denormalize(cloud: np.ndarray, strokes: list[np.ndarray], transform: NormalizationTransform):
-    """Invert `normalize` on a cloud and a list of strokes."""
-    out_cloud = np.asarray(cloud, dtype=np.float64) * transform.scale + transform.centroid
-    out_strokes = []
-    for s in strokes:
-        t = np.asarray(s, dtype=np.float64).copy()
-        t[:, :3] = t[:, :3] * transform.scale + transform.centroid
-        out_strokes.append(t)
-    return out_cloud, out_strokes
-
-
-def denormalize_positions(positions: np.ndarray, transform: NormalizationTransform) -> np.ndarray:
-    """Invert `normalize` on bare 3D positions."""
-    return np.asarray(positions, dtype=np.float64) * transform.scale + transform.centroid
+def denormalize(arrays, transform: NormalizationTransform) -> list[np.ndarray]:
+    """Invert `normalize` on the positions (the first 3 of the last axis) of each array."""
+    out = []
+    for a in arrays:
+        a = np.asarray(a, dtype=np.float64).copy()
+        a[..., :3] = a[..., :3] * transform.scale + transform.centroid
+        out.append(a)
+    return out

@@ -203,40 +203,6 @@ def _backward_batch(params: ModelParams, cache: dict, grad_segments: np.ndarray)
     return gflat
 
 
-def encoder_forward(params: ModelParams, cloud: np.ndarray) -> np.ndarray:
-    """Latent feature vector for one cloud; permutation-invariant in the points."""
-    cloud = _check_cloud(params.config, cloud)
-    latent, _ = _encode_batch(params, cloud[None])
-    return latent[0]
-
-
-def head_forward(params: ModelParams, latent: np.ndarray) -> np.ndarray:
-    """Decode one latent vector into (slots, lam, 6) segments with unit orientations."""
-    latent = np.asarray(latent, dtype=np.float64)
-    if latent.shape != (params.config.latent_dim,):
-        raise ValueError("latent dimensionality mismatch")
-    segments, _ = _head_batch(params, latent[None])
-    return segments[0]
-
-
-def forward_with_cache(params: ModelParams, cloud: np.ndarray):
-    """Single-sample forward pass retaining everything `backward` needs."""
-    cloud = _check_cloud(params.config, cloud)
-    segments, cache = _forward_batch(params, cloud[None])
-    return segments[0], cache
-
-
-def backward(params: ModelParams, cache: dict, grad_segments: np.ndarray) -> np.ndarray:
-    """Parameter gradient for a single-sample forward cache and output gradient."""
-    if not cache or "enc_caches" not in cache:
-        raise ValueError("forward cache missing; run forward_with_cache first")
-    grad_segments = np.asarray(grad_segments, dtype=np.float64)
-    expected = (params.config.slots, params.config.lam, 6)
-    if grad_segments.shape != expected:
-        raise ValueError(f"grad_segments must have shape {expected}")
-    return _backward_batch(params, cache, grad_segments[None])
-
-
 def predict(params: ModelParams, cloud: np.ndarray) -> np.ndarray:
     """Predicted segment set (slots, lam, 6) for one cloud."""
     segments, _ = _forward_batch(params, _check_cloud(params.config, cloud)[None])

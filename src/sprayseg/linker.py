@@ -41,23 +41,12 @@ class LinkGraph:
         return int((self.succ >= 0).sum())
 
 
-def link_distance(seg_a: np.ndarray, seg_b: np.ndarray, weights: LossWeights) -> float:
-    """Score for appending seg_b after seg_a: end-to-begin pose distance plus
-    the squared mismatch of the terminal step directions (positions only)."""
-    seg_a = np.asarray(seg_a, dtype=np.float64)
-    seg_b = np.asarray(seg_b, dtype=np.float64)
-    if len(seg_a) < 2 or len(seg_b) < 2:
-        raise ValueError("segments need at least 2 poses for a direction term")
-    wvec = weights.vector()
-    d = seg_a[-1] - seg_b[0]
-    pose_term = float((wvec * d * d).sum())
-    dir_a = seg_a[-1, :3] - seg_a[-2, :3]
-    dir_b = seg_b[1, :3] - seg_b[0, :3]
-    dd = dir_a - dir_b
-    return pose_term + float(dd @ dd)
-
-
-def _pairwise_link_distances(segments: np.ndarray, weights: LossWeights) -> np.ndarray:
+def link_distances(segments: np.ndarray, weights: LossWeights) -> np.ndarray:
+    """dist[k, j] scores appending segment j after k: end-to-begin pose distance
+    plus the squared mismatch of the terminal step directions (positions only).
+    The diagonal is inf."""
+    if segments.shape[1] < 2:
+        raise ValueError("linking needs segments of at least 2 poses")
     wvec = weights.vector()
     ends = segments[:, -1, :]
     begins = segments[:, 0, :]
@@ -79,9 +68,7 @@ def build_link_graph(segments: np.ndarray, config: LinkConfig) -> LinkGraph:
     pred = np.full(k_total, -1, dtype=np.int64)
     if k_total < 2:
         return LinkGraph(succ, pred)
-    if segments.shape[1] < 2:
-        raise ValueError("linking needs segments of at least 2 poses")
-    dist = _pairwise_link_distances(segments, config.weights)
+    dist = link_distances(segments, config.weights)
     heap = []
     for k in range(k_total):
         j = int(np.argmin(dist[k]))

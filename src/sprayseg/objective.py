@@ -50,18 +50,8 @@ class LossReport:
 
 
 def weighted_pose_distance(a: np.ndarray, b: np.ndarray, weights: LossWeights) -> float:
-    """Squared position distance plus weighted squared orientation distance."""
+    """Squared position plus weighted squared orientation distance, summed over aligned poses."""
     d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    return float((weights.vector() * d * d).sum())
-
-
-def segment_distance_sq(a: np.ndarray, b: np.ndarray, weights: LossWeights) -> float:
-    """Sum of weighted pose distances over aligned pose pairs (order sensitive)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("segment length mismatch")
-    d = a - b
     return float((weights.vector() * d * d).sum())
 
 
@@ -96,6 +86,12 @@ def chamfer_segments(pred: np.ndarray, target: np.ndarray,
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     _check_segment_sets(pred, target)
+    return _chamfer(pred, target, weights)
+
+
+def _chamfer(pred: np.ndarray, target: np.ndarray,
+             weights: LossWeights) -> tuple[float, np.ndarray]:
+    """`chamfer_segments` on validated float64 (K, lam, 6) arrays."""
     n_pred, n_target = len(pred), len(target)
     wvec = weights.vector()
     sqrt_w = np.sqrt(wvec)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import TriMesh
-from .objective import LossWeights, _sq_dist_matrix
+from .objective import LossWeights, _chamfer
 
 # CPUs this process may run on: the number of threads _visible spreads over
 try:
@@ -212,7 +212,8 @@ def paint_coverage(pred_field: np.ndarray, gt_field: np.ndarray) -> CoverageRepo
 
 def pose_chamfer(pred_poses: np.ndarray, gt_poses: np.ndarray,
                  weights: LossWeights) -> float:
-    """Symmetric Chamfer distance between two 6D-pose clouds, connectivity ignored.
+    """Symmetric Chamfer distance between two 6D-pose clouds, connectivity ignored:
+    the segment Chamfer of the training loss over single-pose segments.
 
     Reporting layers conventionally scale this by 1e4.
     """
@@ -222,15 +223,7 @@ def pose_chamfer(pred_poses: np.ndarray, gt_poses: np.ndarray,
         raise ValueError("pred_poses must be a non-empty (N, 6) array")
     if gt_poses.ndim != 2 or gt_poses.shape[1] != 6 or len(gt_poses) == 0:
         raise ValueError("gt_poses must be a non-empty (M, 6) array")
-    sqrt_w = np.sqrt(weights.vector())
-    dist = _sq_dist_matrix(pred_poses * sqrt_w, gt_poses * sqrt_w)
-    j_star = np.argmin(dist, axis=1)
-    k_star = np.argmin(dist, axis=0)
-    wvec = weights.vector()
-    d_fwd = pred_poses - gt_poses[j_star]
-    d_bwd = pred_poses[k_star] - gt_poses
-    return float((wvec * d_fwd * d_fwd).sum() / len(pred_poses)
-                 + (wvec * d_bwd * d_bwd).sum() / len(gt_poses))
+    return _chamfer(pred_poses[:, None], gt_poses[:, None], weights)[0]
 
 
 def save_thickness(field: np.ndarray, path) -> None:

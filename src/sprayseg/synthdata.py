@@ -7,7 +7,7 @@ segment is a fixed-length window of a stroke.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,28 +53,6 @@ class GeneratorConfig:
     container_wall: tuple[float, float] = (0.02, 0.04)
     container_turns: int = 6
     container_poses: int = 700
-
-
-@dataclass
-class SegmentSet:
-    """Unordered collection of fixed-length segments, shape (K, lam, 6)."""
-
-    segments: np.ndarray
-    overlap: int = 1
-
-    def __post_init__(self) -> None:
-        self.segments = np.asarray(self.segments, dtype=np.float64)
-        if self.segments.ndim != 3 or self.segments.shape[2] != 6:
-            raise ValueError("segments must form a (K, lam, 6) array")
-        if not 0 <= self.overlap < self.segments.shape[1]:
-            raise ValueError("overlap must satisfy 0 <= overlap < lam")
-
-    @property
-    def lam(self) -> int:
-        return self.segments.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.segments)
 
 
 @dataclass
@@ -417,37 +395,28 @@ def downsample_strokes(strokes: list[np.ndarray], budget: int) -> list[np.ndarra
     return out
 
 
-def decompose_segments(strokes: list[np.ndarray], lam: int, overlap: int) -> SegmentSet:
-    """Slice strokes into fixed-length windows sharing `overlap` poses.
+def decompose_segments(strokes: list[np.ndarray], lam: int, overlap: int) -> np.ndarray:
+    """Slice strokes into fixed-length windows sharing `overlap` poses: (K, lam, 6).
 
-    Per stroke this yields floor((N - lam) / (lam - overlap)) + 1 windows;
+    Per stroke this yields `output_slot_count(N, lam, overlap)` windows;
     trailing poses that do not fill a window are dropped.
     """
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
-    if not 0 <= overlap < lam:
-        raise ValueError("overlap must satisfy 0 <= overlap < lam")
-    stride = lam - overlap
     segs = []
     for s in strokes:
         s = np.asarray(s, dtype=np.float64)
+        if s.ndim != 2 or s.shape[1] != 6:
+            raise ValueError("each stroke must be an (N, 6) pose array")
         if len(s) < lam:
             raise ValueError(f"stroke of {len(s)} poses is shorter than lam={lam}")
-        count = (len(s) - lam) // stride + 1
-        for k in range(count):
+        stride = lam - overlap
+        for k in range(output_slot_count(len(s), lam, overlap)):
             segs.append(s[k * stride: k * stride + lam])
-    return SegmentSet(np.stack(segs), overlap=overlap)
-
-
-def segment_count(n_poses: int, lam: int, overlap: int) -> int:
-    """Window count for a single stroke of n_poses."""
-    if n_poses < lam:
-        raise ValueError("stroke shorter than lam")
-    return (n_poses - lam) // (lam - overlap) + 1
+    return np.stack(segs)
 
 
 def output_slot_count(total_poses: int, lam: int, overlap: int) -> int:
-    """Fixed prediction slot count covering any decomposition of `total_poses` poses."""
+    """Window count of a stroke of `total_poses` poses; as the model's slot count
+    it covers any decomposition of that many poses."""
     if total_poses < lam:
         raise ValueError("total_poses must be >= lam")
     if not 0 <= overlap < lam:

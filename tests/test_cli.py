@@ -174,6 +174,14 @@ class TestEvaluate:
         assert (d / "pred_thickness.txt").exists()
         assert rows[0].strokes <= rows[0].segments
 
+    def test_train_reads_dataset_metadata_once(self, tiny_dataset, tmp_path, monkeypatch):
+        _, data = tiny_dataset
+        read_meta = cli.read_meta
+        calls = []
+        monkeypatch.setattr(cli, "read_meta", lambda d: calls.append(d) or read_meta(d))
+        cli.cmd_train(load_config(None, tiny_overrides(epochs=1)), data, tmp_path / "run")
+        assert len(calls) == 1
+
     def test_reads_dataset_metadata_once(self, tiny_checkpoint, tmp_path, monkeypatch):
         cfg, _, ckpt = tiny_checkpoint
         two = load_config(None, tiny_overrides(categories="cuboids,windows", face_grid=3))
@@ -219,6 +227,34 @@ class TestSweep:
             gt = [(out / f"tau_{v:g}" / sid / "gt_thickness.txt").read_bytes()
                   for v in (0.05, 0.3)]
             assert gt[0] == gt[1]
+
+    @pytest.mark.parametrize("param,values", [("overlap", [0.0, 2.0]), ("lambda", [1.0, 3.0])])
+    def test_model_sweep_deposits_each_ground_truth_once(self, tiny_dataset, tmp_path,
+                                                         monkeypatch, param, values):
+        cfg, data = tiny_dataset
+        _, test_ids = cli.read_split(data)
+        deposit = spraysim.deposit
+        calls = []
+        monkeypatch.setattr(spraysim, "deposit",
+                            lambda *args: calls.append(args) or deposit(*args))
+        out = tmp_path / "sweep"
+        cli.cmd_sweep(cfg, data, out, param, values)
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == f"{param},pcd_x1e4,pc,segments,strokes"
+        table = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        assert table[:, 0].tolist() == values
+        assert np.isfinite(table).all()
+        # one ground truth per sample plus one prediction per sample and value
+        assert len(calls) == len(test_ids) * (1 + len(values))
+        if param == "overlap":   # slot count pinned at its overlap=1 value
+            slots = synthdata.output_slot_count(cli.read_meta(data)["budget"], cfg.lam, 1)
+            assert table[:, 3].tolist() == [slots] * len(values)
+
+    @pytest.mark.parametrize("param", ["lambda", "overlap"])
+    def test_non_integer_values_rejected(self, tiny_dataset, tmp_path, param):
+        cfg, data = tiny_dataset
+        with pytest.raises(cli.CliError, match="integer"):
+            cli.cmd_sweep(cfg, data, tmp_path / "s", param, [1.5])
 
     def test_empty_values(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset
@@ -286,6 +322,19 @@ class TestMainEntry:
             argv = ["evaluate", "--dataset", str(copy), "--ground-truth", "--concat"]
         assert cli.main(argv + ["--out", str(out)]) == 1
         assert "cloud.txt" in capsys.readouterr().err
+
+    def test_non_finite_mesh_fails_naming_the_file(self, tiny_dataset, tmp_path, capsys):
+        _, data = tiny_dataset
+        copy = tmp_path / "dataset"
+        shutil.copytree(data, copy)
+        _, test_ids = cli.read_split(copy)
+        mesh = copy / "samples" / test_ids[0] / "mesh.txt"
+        lines = mesh.read_text().splitlines()
+        lines[0] = "v nan 1 0"
+        mesh.write_text("\n".join(lines) + "\n")
+        argv = ["evaluate", "--dataset", str(copy), "--ground-truth", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 1
+        assert "mesh.txt" in capsys.readouterr().err
 
     def test_simulate_command(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset

@@ -53,6 +53,15 @@ class TestLoadMesh:
         with pytest.raises(MeshError):
             geometry.load_mesh(path)
 
+    @pytest.mark.parametrize("text", [CUBE_MESH_TEXT.replace("v 1 1 0", "v nan 1 0"),
+                                      "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n"],
+                             ids=["non_finite_vertex", "face_index_out_of_range"])
+    def test_invariant_errors_name_the_file(self, tmp_path, text):
+        path = tmp_path / "named_mesh.txt"
+        path.write_text(text)
+        with pytest.raises(MeshError, match="named_mesh.txt"):
+            geometry.load_mesh(path)
+
     def test_save_load_roundtrip(self, cube_mesh_path, tmp_path):
         mesh, _ = geometry.load_mesh(cube_mesh_path)
         out = tmp_path / "copy.txt"
@@ -136,7 +145,7 @@ class TestNormalize:
         cloud = rng.normal(size=(40, 3)) * 3 + 5
         stroke = np.hstack([rng.normal(size=(12, 3)), np.tile([1.0, 0, 0], (12, 1))])
         n_cloud, n_strokes, tf = geometry.normalize(cloud, [stroke], scale=2.5)
-        back_cloud, back_strokes = geometry.denormalize(n_cloud, n_strokes, tf)
+        back_cloud, *back_strokes = geometry.denormalize([n_cloud, *n_strokes], tf)
         assert np.abs(back_cloud - cloud).max() < 1e-9
         assert np.abs(back_strokes[0] - stroke).max() < 1e-9
 

@@ -9,10 +9,6 @@ from sprayseg.learner import (
     TrainConfig,
     TrainingSample,
     adam_step,
-    backward,
-    encoder_forward,
-    forward_with_cache,
-    head_forward,
     init_params,
     load_checkpoint,
     num_params,
@@ -40,23 +36,23 @@ class TestForward:
         cfg = ModelConfig(input_points=512, lam=4, slots=7, latent_dim=128)
         params = init_params(cfg, 0)
         cloud = np.random.default_rng(1).normal(size=(512, 3))
-        latent = encoder_forward(params, cloud)
+        latent = learner._encode_batch(params, cloud[None])[0][0]
         assert latent.shape == (128,)
-        segs = head_forward(params, latent)
+        segs = learner._head_batch(params, latent[None])[0][0]
         assert segs.shape == (7, 4, 6)
         assert np.allclose(predict(params, cloud), segs)
 
     def test_permutation_invariance_bitwise(self):
         _, params, cloud = tiny_setup(3)
         perm = np.random.default_rng(4).permutation(len(cloud))
-        assert np.array_equal(encoder_forward(params, cloud),
-                              encoder_forward(params, cloud[perm]))
+        assert np.array_equal(learner._encode_batch(params, cloud[None])[0],
+                              learner._encode_batch(params, cloud[perm][None])[0])
         assert np.array_equal(predict(params, cloud), predict(params, cloud[perm]))
 
     def test_zero_weights_zero_latent(self):
         params = ModelParams(TINY, np.zeros(num_params(TINY)))
         cloud = np.random.default_rng(5).normal(size=(TINY.input_points, 3))
-        assert np.abs(encoder_forward(params, cloud)).max() == 0.0
+        assert np.abs(learner._encode_batch(params, cloud[None])[0]).max() == 0.0
 
     def test_unit_orientations(self):
         _, params, cloud = tiny_setup(6)
@@ -92,33 +88,28 @@ class TestBackward:
             p = ModelParams(TINY, flat)
             return float((predict(p, cloud) * grad_out).sum())
 
-        _, cache = forward_with_cache(params, cloud)
-        analytic = backward(params, cache, grad_out)
+        _, cache = learner._forward_batch(params, cloud[None])
+        analytic = learner._backward_batch(params, cache, grad_out[None])
         numeric = finite_difference_gradient(scalar, params.flat.copy())
         assert relative_error(analytic, numeric) < 1e-4
 
     def test_zero_loss_gradient(self):
         _, params, cloud = tiny_setup(9)
-        _, cache = forward_with_cache(params, cloud)
-        grad = backward(params, cache, np.zeros((TINY.slots, TINY.lam, 6)))
+        _, cache = learner._forward_batch(params, cloud[None])
+        grad = learner._backward_batch(params, cache, np.zeros((1, TINY.slots, TINY.lam, 6)))
         assert np.abs(grad).max() == 0.0
 
     def test_orientation_gradient_orthogonal(self):
         # the backprop through L2 normalization projects onto the tangent space,
         # so the raw-orientation gradient is orthogonal to the unit output
         rng, params, cloud = tiny_setup(10)
-        segs, cache = forward_with_cache(params, cloud)
+        segs, cache = learner._forward_batch(params, cloud[None])
         gu = rng.normal(size=(TINY.slots, TINY.lam, 6))
         u = cache["u"][0]
         vnorm = cache["vnorm"][0]
         gv = (gu[..., 3:] - u * (u * gu[..., 3:]).sum(-1, keepdims=True)) / vnorm
         dots = (gv * u).sum(-1)
         assert np.abs(dots).max() < 1e-12
-
-    def test_missing_cache(self):
-        _, params, _ = tiny_setup()
-        with pytest.raises(ValueError):
-            backward(params, {}, np.zeros((TINY.slots, TINY.lam, 6)))
 
     def test_end_to_end_gradient(self):
         rng, params, cloud = tiny_setup(11)
@@ -128,9 +119,10 @@ class TestBackward:
         def scalar(flat):
             return total_loss(predict(ModelParams(TINY, flat), cloud), target, weights).total
 
-        segs, cache = forward_with_cache(params, cloud)
-        report = total_loss(segs, target, weights)
-        analytic = backward(params, cache, report.gradient.reshape(TINY.slots, TINY.lam, 6))
+        segs, cache = learner._forward_batch(params, cloud[None])
+        report = total_loss(segs[0], target, weights)
+        analytic = learner._backward_batch(params, cache,
+                                           report.gradient.reshape(1, TINY.slots, TINY.lam, 6))
         numeric = finite_difference_gradient(scalar, params.flat.copy())
         assert relative_error(analytic, numeric) < 1e-3
 
@@ -173,7 +165,7 @@ def make_cuboid_samples(n, lam=4, overlap=1, points=64, budget=120, seed=0):
         strokes = synthdata.downsample_strokes(rec.strokes, budget)
         cloud = geometry.sample_point_cloud(rec.mesh, points, seed=i)
         n_cloud, n_strokes, _ = geometry.normalize(cloud, strokes, scale=0.5)
-        target = synthdata.decompose_segments(n_strokes, lam, overlap).segments
+        target = synthdata.decompose_segments(n_strokes, lam, overlap)
         assert len(target) <= slots
         samples.append(TrainingSample(cloud=n_cloud, target=target))
     return samples, slots

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sprayseg import synthdata
-from sprayseg.linker import LinkConfig, build_link_graph, concatenate, link_distance
+from sprayseg.linker import LinkConfig, build_link_graph, concatenate, link_distances
 from sprayseg.objective import LossWeights
 
 W = LossWeights(alpha=0.5, orientation_weight=0.25)
@@ -19,21 +19,21 @@ class TestLinkDistance:
     def test_perfect_continuation(self):
         a = straight_segment([0, 0, 0], [0.1, 0, 0])
         b = straight_segment(a[-1, :3], [0.1, 0, 0])
-        assert link_distance(a, b, W) == pytest.approx(0.0)
+        assert link_distances(np.stack([a, b]), W)[0, 1] == pytest.approx(0.0)
 
     def test_opposite_directions(self):
         a = straight_segment([0, 0, 0], [0.1, 0, 0])
         b = straight_segment(a[-1, :3], [-0.1, 0, 0])
-        assert link_distance(a, b, W) == pytest.approx(0.04)
+        assert link_distances(np.stack([a, b]), W)[0, 1] == pytest.approx(0.04)
 
     def test_positional_gap(self):
         a = straight_segment([0, 0, 0], [0.1, 0, 0])
         b = straight_segment(a[-1, :3] + [0.2, 0, 0], [0.1, 0, 0])
-        assert link_distance(a, b, W) == pytest.approx(0.04)
+        assert link_distances(np.stack([a, b]), W)[0, 1] == pytest.approx(0.04)
 
     def test_needs_two_poses(self):
         with pytest.raises(ValueError):
-            link_distance(np.zeros((1, 6)), np.zeros((1, 6)), W)
+            link_distances(np.zeros((2, 1, 6)), W)
 
 
 def chainable_run(start, n_segments, lam=4, step=(0.1, 0, 0)):
@@ -71,9 +71,9 @@ class TestConcatenate:
     def test_roundtrip_from_decomposition(self):
         rec = synthdata.generate_object("cuboids", seed=5)
         stroke = synthdata.downsample_strokes(rec.strokes, 400)[0]
-        segset = synthdata.decompose_segments([stroke], lam=4, overlap=1)
-        segs = segset.segments
-        d_true = max(link_distance(segs[i], segs[i + 1], W) for i in range(len(segs) - 1))
+        segs = synthdata.decompose_segments([stroke], lam=4, overlap=1)
+        dist = link_distances(segs, W)
+        d_true = max(dist[i, i + 1] for i in range(len(segs) - 1))
         strokes = concatenate(segs, LinkConfig(tau=d_true * 1.5 + 1e-12, weights=W))
         covered = (len(segs) - 1) * 3 + 4
         assert len(strokes) == 1
@@ -125,9 +125,9 @@ class TestConcatenate:
         strokes = concatenate(segs, cfg)
         assert len(strokes) == 1
         resegmented = synthdata.decompose_segments(strokes, lam=4, overlap=1)
-        again = concatenate(resegmented.segments, cfg)
+        again = concatenate(resegmented, cfg)
         assert len(again) == 1
-        covered = (len(resegmented.segments) - 1) * 3 + 4
+        covered = (len(resegmented) - 1) * 3 + 4
         assert np.array_equal(again[0], strokes[0][:covered])
 
     def test_deterministic_tie_break(self):

@@ -5,7 +5,6 @@ from sprayseg.objective import (
     LossWeights,
     attraction_loss,
     chamfer_segments,
-    segment_distance_sq,
     total_loss,
     weighted_pose_distance,
 )
@@ -36,21 +35,21 @@ class TestPoseDistance:
 class TestSegmentDistance:
     def test_identical(self):
         seg = np.stack([pose(i, 0, 0) for i in range(3)])
-        assert segment_distance_sq(seg, seg, W) == 0.0
+        assert weighted_pose_distance(seg, seg, W) == 0.0
 
     def test_order_sensitive(self):
         seg = np.stack([pose(i, 0, 0) for i in range(3)])
-        assert segment_distance_sq(seg, seg[::-1], W) > 0.0
+        assert weighted_pose_distance(seg, seg[::-1], W) > 0.0
 
     def test_offset(self):
         seg = np.stack([pose(0, 0, 0), pose(1, 0, 0)])
         moved = seg.copy()
         moved[:, 0] += 1.0
-        assert segment_distance_sq(seg, moved, W) == pytest.approx(2.0)
+        assert weighted_pose_distance(seg, moved, W) == pytest.approx(2.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            segment_distance_sq(np.zeros((2, 6)), np.zeros((3, 6)), W)
+            weighted_pose_distance(np.zeros((2, 6)), np.zeros((3, 6)), W)
 
 
 class TestChamfer:

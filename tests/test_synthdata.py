@@ -3,12 +3,10 @@ import pytest
 
 from sprayseg import synthdata
 from sprayseg.synthdata import (
-    SegmentSet,
     decompose_segments,
     downsample_strokes,
     generate_object,
     output_slot_count,
-    segment_count,
     split_dataset,
     validate_strokes,
 )
@@ -110,9 +108,9 @@ class TestDecompose:
         stroke = TestDownsample.make_stroke(10)
         segs = decompose_segments([stroke], lam=4, overlap=1)
         assert len(segs) == 3
-        assert np.array_equal(segs.segments[0], stroke[0:4])
-        assert np.array_equal(segs.segments[1], stroke[3:7])
-        assert np.array_equal(segs.segments[2], stroke[6:10])
+        assert np.array_equal(segs[0], stroke[0:4])
+        assert np.array_equal(segs[1], stroke[3:7])
+        assert np.array_equal(segs[2], stroke[6:10])
 
     def test_single_window(self):
         stroke = TestDownsample.make_stroke(4)
@@ -134,7 +132,7 @@ class TestDecompose:
                 stride = lam - overlap
                 for n in range(lam, 51):
                     enumerated = len(range(0, n - lam + 1, stride))
-                    assert segment_count(n, lam, overlap) == enumerated
+                    assert output_slot_count(n, lam, overlap) == enumerated
 
     def test_roundtrip_reassembly_bitwise(self):
         rng = np.random.default_rng(9)
@@ -144,7 +142,7 @@ class TestDecompose:
             overlap = int(rng.integers(1, lam))
             stride = lam - overlap
             for stroke in rec.strokes:
-                segs = decompose_segments([stroke], lam, overlap).segments
+                segs = decompose_segments([stroke], lam, overlap)
                 parts = [segs[0]] + [s[overlap:] for s in segs[1:]]
                 rebuilt = np.concatenate(parts, axis=0)
                 covered = (len(segs) - 1) * stride + lam
@@ -168,7 +166,7 @@ class TestSlotCount:
             lam = int(rng.integers(2, 8))
             overlap = int(rng.integers(0, lam))
             lengths = rng.integers(lam, 60, size=rng.integers(1, 6))
-            k = sum(segment_count(int(n), lam, overlap) for n in lengths)
+            k = sum(output_slot_count(int(n), lam, overlap) for n in lengths)
             assert k <= output_slot_count(int(lengths.sum()), lam, overlap)
 
 
@@ -207,6 +205,6 @@ class TestSerialization:
 
     def test_segment_set_invariants(self):
         with pytest.raises(ValueError):
-            SegmentSet(np.zeros((3, 4, 6)), overlap=4)
+            decompose_segments([np.zeros((4, 6))], lam=4, overlap=4)
         with pytest.raises(ValueError):
-            SegmentSet(np.zeros((3, 4, 5)), overlap=1)
+            decompose_segments([np.zeros((3, 5))], lam=3, overlap=1)
