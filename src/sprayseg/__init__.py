@@ -52,12 +52,10 @@ from .spraysim import (
 )
 from .synthdata import (
     CATEGORIES,
-    GeneratorConfig,
     SampleRecord,
     decompose_segments,
     downsample_strokes,
     generate_object,
-    load_sample,
     load_strokes,
     output_slot_count,
     save_sample,

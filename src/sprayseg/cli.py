@@ -48,7 +48,6 @@ class ExperimentConfig:
     head_hidden: tuple[int, ...] = (256, 256)
     mode: str = "segments"
     learning_rate: float = 1e-3
-    lr_final: float = 0.0
     epochs: int = 800
     alpha: float = 0.5
     orientation_weight: float = 0.25
@@ -58,7 +57,6 @@ class ExperimentConfig:
     half_angle_deg: float = 45.0
     max_range: float = 0.5
     flux: float = 1.0
-    standoff_frac: float = 0.28
     face_grid: int = 6
     seed: int = 0
 
@@ -69,15 +67,13 @@ class ExperimentConfig:
         return spraysim.SprayGunModel(cone_half_angle=np.deg2rad(self.half_angle_deg),
                                       max_range=self.max_range, flux=self.flux)
 
-    def generator(self) -> synthdata.GeneratorConfig:
-        return synthdata.GeneratorConfig(standoff_frac=self.standoff_frac,
-                                         face_grid=self.face_grid)
-
     def train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
-                           alpha=self.alpha, orientation_weight=self.orientation_weight,
-                           seed=self.seed, batch_size=self.batch_size,
-                           lr_final=self.lr_final)
+                           weights=self.weights(), seed=self.seed,
+                           batch_size=self.batch_size)
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def _parse_value(name: str, text: str, default):
@@ -93,12 +89,11 @@ def _parse_value(name: str, text: str, default):
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Defaults, then key-value file entries, then flag overrides."""
     defaults = ExperimentConfig()
-    names = {f.name for f in fields(ExperimentConfig)}
     entries = list(read_keyvalues(path).items()) if path is not None else []
     entries += [(k, v) for k, v in (overrides or {}).items() if v is not None]
     values: dict = {}
     for key, value in entries:
-        if key not in names:
+        if key not in _CONFIG_KEYS:
             raise CliError(f"unknown config key {key!r}")
         values[key] = (_parse_value(key, value, getattr(defaults, key))
                        if isinstance(value, str) else value)
@@ -138,7 +133,6 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> Path:
     out_dir = Path(out_dir)
     samples_dir = out_dir / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
-    gen = cfg.generator()
     split_lines = []
     train_ids = []
     records = {}
@@ -146,7 +140,8 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> Path:
         cat_index = synthdata.CATEGORIES.index(cat)
         ids = []
         for i in range(cfg.count):
-            rec = synthdata.generate_object(cat, _sample_seed(cfg.seed, cat_index, i, 0), gen)
+            rec = synthdata.generate_object(cat, _sample_seed(cfg.seed, cat_index, i, 0),
+                                            cfg.face_grid)
             rec = replace(rec, strokes=synthdata.downsample_strokes(rec.strokes, cfg.budget))
             cloud = geometry.sample_point_cloud(
                 rec.mesh, cfg.cloud_points, seed=_sample_seed(cfg.seed, cat_index, i, 1))
@@ -263,15 +258,19 @@ def _select_fraction(ids: list[str], fraction: float, seed: int) -> list[str]:
 
 
 def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
-              pretrained=None, require_coverage: bool = True,
-              model_cfg: ModelConfig | None = None) -> Path:
-    """Train on the dataset's train split; write checkpoint, loss CSV, run info."""
+              pretrained=None, model_cfg: ModelConfig | None = None) -> Path:
+    """Train on the dataset's train split; write checkpoint, loss CSV, run info.
+
+    A given `model_cfg` pins the slot count, so targets may have more segments
+    than there are slots; otherwise every target must fit the slots.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_ids, _ = read_split(dataset_dir)
     train_ids = _select_fraction(train_ids, cfg.fraction, cfg.seed)
     meta = read_meta(dataset_dir)
-    if model_cfg is None:
+    require_coverage = model_cfg is None
+    if require_coverage:
         model_cfg = build_model_config(cfg, dataset_dir, train_ids, meta)
     samples = build_training_samples(cfg, dataset_dir, train_ids, model_cfg, meta)
     initial = None
@@ -464,8 +463,7 @@ def cmd_sweep(cfg: ExperimentConfig, dataset_dir, out_dir, param: str,
                        replace(cfg, lam=v, overlap=min(cfg.overlap, v - 1),
                                mode="segments" if v > 1 else "pointwise"))
             run_dir = out_dir / f"{param}_{v}"
-            ckpt = cmd_train(run_cfg, dataset_dir, run_dir / "model",
-                             require_coverage=model_cfg is None, model_cfg=model_cfg)
+            ckpt = cmd_train(run_cfg, dataset_dir, run_dir / "model", model_cfg=model_cfg)
         rows = cmd_evaluate(run_cfg, dataset_dir, run_dir, checkpoint=ckpt,
                             concat=param == "tau", gt_fields=gt_fields)
         results.append([float(v), *_means(rows)])
@@ -547,14 +545,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-_OVERRIDE_KEYS = ("seed", "lam", "overlap", "tau", "fraction", "categories",
-                  "count", "mode", "epochs")
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        overrides = {k: getattr(args, k) for k in _OVERRIDE_KEYS if hasattr(args, k)}
+        overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
         cfg = load_config(args.config, overrides)
         if args.command == "generate":
             cmd_generate(cfg, args.out)

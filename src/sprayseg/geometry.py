@@ -9,6 +9,8 @@ import numpy as np
 
 # Faces below this area are treated as degenerate and dropped at load time.
 DEGENERATE_AREA = 1e-12
+# Surface sampling draws this many candidates per requested point.
+_OVERSAMPLE = 4
 
 
 class MeshError(ValueError):
@@ -170,13 +172,12 @@ def _greedy_thin(points: np.ndarray, radius: float, n_target: int) -> list[int]:
     return accepted
 
 
-def sample_point_cloud(mesh: TriMesh, n: int, seed: int, radius: float | None = None,
-                       oversample: int = 4, return_faces: bool = False):
+def sample_point_cloud(mesh: TriMesh, n: int, seed: int, return_faces: bool = False):
     """Sample exactly n points on the mesh surface, approximately evenly spread.
 
-    Area-weighted uniform candidates are thinned by greedy dart throwing at the
-    given radius (default 0.7 * sqrt(area / n)); any shortfall is filled from the
-    remaining candidates so the count is exact. Deterministic per seed.
+    Area-weighted uniform candidates are thinned by greedy dart throwing at
+    radius 0.7 * sqrt(area / n); any shortfall is filled from the remaining
+    candidates so the count is exact. Deterministic per seed.
 
     Returns the (n, 3) points, plus the generating face index per point when
     return_faces is set.
@@ -188,19 +189,14 @@ def sample_point_cloud(mesh: TriMesh, n: int, seed: int, radius: float | None = 
     if total_area <= 0:
         raise MeshError("mesh has zero surface area")
     rng = np.random.default_rng(seed)
-    m = max(n, oversample * n)
+    m = _OVERSAMPLE * n
     fidx = rng.choice(len(areas), size=m, p=areas / total_area)
     uv = rng.random((m, 2))
     flip = uv.sum(axis=1) > 1.0
     uv[flip] = 1.0 - uv[flip]
     tri = mesh.triangles[fidx]
     pts = tri[:, 0] + uv[:, :1] * (tri[:, 1] - tri[:, 0]) + uv[:, 1:] * (tri[:, 2] - tri[:, 0])
-    if radius is None:
-        radius = 0.7 * np.sqrt(total_area / n)
-    if radius > 0.0:
-        kept = _greedy_thin(pts, radius, n)
-    else:
-        kept = list(range(n))
+    kept = _greedy_thin(pts, 0.7 * np.sqrt(total_area / n), n)
     if len(kept) < n:
         chosen = np.zeros(m, dtype=bool)
         chosen[kept] = True

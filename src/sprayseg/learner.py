@@ -8,7 +8,7 @@ unit approach vectors by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,9 @@ MODES = ("segments", "pointwise", "multipath_regression")
 _FALLBACK_AXIS = np.array([0.0, 0.0, 1.0])
 _NORM_EPS = 1e-12
 _CHECKPOINT_MAGIC = b"SPRAYSEG-CKPT v1"
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -232,20 +235,19 @@ class AdamState:
 
 
 def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
-              learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[np.ndarray, AdamState]:
+              learning_rate: float) -> tuple[np.ndarray, AdamState]:
     """One Adam update; mutates the moment state, returns the updated values."""
     if values.shape != grad.shape or values.shape != state.m.shape:
         raise ValueError("values, grad, and state must have matching lengths")
     state.t += 1
-    state.m *= beta1
-    state.m += (1.0 - beta1) * grad
-    state.v *= beta2
-    state.v += (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
+    state.m *= _BETA1
+    state.m += (1.0 - _BETA1) * grad
+    state.v *= _BETA2
+    state.v += (1.0 - _BETA2) * grad * grad
+    m_hat = state.m / (1.0 - _BETA1 ** state.t)
+    v_hat = state.v / (1.0 - _BETA2 ** state.t)
     np.sqrt(v_hat, out=v_hat)
-    v_hat += eps
+    v_hat += _ADAM_EPS
     m_hat /= v_hat
     m_hat *= learning_rate
     return values - m_hat, state
@@ -255,26 +257,15 @@ def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
 class TrainConfig:
     epochs: int
     learning_rate: float = 1e-3
-    alpha: float = 0.5
-    orientation_weight: float = 0.25
+    weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
     batch_size: int = 0        # 0 = full batch
-    lr_final: float = 0.0      # > 0 enables cosine annealing down to this rate
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.lr_final < 0 or self.lr_final > self.learning_rate:
-            raise ValueError("lr_final must lie in [0, learning_rate]")
-
-    def rate_at(self, epoch: int) -> float:
-        if self.lr_final <= 0.0 or self.epochs == 1:
-            return self.learning_rate
-        span = self.learning_rate - self.lr_final
-        phase = np.pi * epoch / (self.epochs - 1)
-        return float(self.lr_final + 0.5 * span * (1.0 + np.cos(phase)))
 
 
 @dataclass
@@ -293,6 +284,8 @@ def train(samples: list[TrainingSample], model_config: ModelConfig,
     Segment and pointwise modes optimize the Chamfer + attraction objective
     against per-sample target sets; multipath mode regresses a fixed-size
     target array with per-pose weighted squared error. Deterministic per seed.
+    Raises ValueError naming the first epoch (as numbered in the history) whose
+    mean loss or updated parameters are non-finite.
     """
     if not samples:
         raise ValueError("training set is empty")
@@ -315,8 +308,7 @@ def train(samples: list[TrainingSample], model_config: ModelConfig,
         params = initial.copy()
     else:
         params = init_params(cfg, train_config.seed)
-    weights = LossWeights(alpha=train_config.alpha,
-                          orientation_weight=train_config.orientation_weight)
+    weights = train_config.weights
     wvec = weights.vector()
     state = AdamState.zeros(len(params.flat))
     rng = np.random.default_rng([13, train_config.seed])
@@ -344,8 +336,11 @@ def train(samples: list[TrainingSample], model_config: ModelConfig,
                     grad_out[bi] = rep.gradient.reshape(cfg.slots, cfg.lam, 6) / len(idx)
             gflat = _backward_batch(params, cache, grad_out)
             params.flat, state = adam_step(params.flat, gflat, state,
-                                           train_config.rate_at(epoch))
+                                           train_config.learning_rate)
         history[epoch] = np.mean(epoch_losses, axis=0)
+        if not (np.isfinite(history[epoch]).all() and np.isfinite(params.flat).all()):
+            raise ValueError(f"training diverged at epoch {epoch}: "
+                             "non-finite loss or parameters")
     return params, history
 
 
@@ -363,10 +358,14 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint; any format or parameter error names the file."""
     with open(path, "rb") as f:
-        magic = f.readline().rstrip(b"\n")
-        if magic != _CHECKPOINT_MAGIC:
+        if f.readline().rstrip(b"\n") != _CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a recognized checkpoint")
-        meta = json.loads(f.readline().decode("utf-8"))
-        flat = np.frombuffer(f.read(), dtype="<f8")
-    return ModelParams(ModelConfig(**meta["config"]), flat.copy())
+        header, data = f.readline(), f.read()
+    try:
+        meta = json.loads(header.decode("utf-8"))
+        flat = np.frombuffer(data, dtype="<f8")
+        return ModelParams(ModelConfig(**meta["config"]), flat.copy())
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -129,27 +129,18 @@ def concatenate(segments: np.ndarray, config: LinkConfig) -> list[np.ndarray]:
     succ, pred = graph.succ, graph.pred
     visited = np.zeros(len(segments), dtype=bool)
     strokes = []
-    for k in range(len(segments)):
-        if pred[k] != -1 or visited[k]:
-            continue
-        chain = [k]
-        visited[k] = True
-        node = succ[k]
-        while node != -1:
-            chain.append(int(node))
-            visited[node] = True
-            node = succ[node]
-        strokes.append(_emit_chain(segments, chain, closed=False))
-    for k in range(len(segments)):
-        if visited[k]:
-            continue
-        # remaining nodes sit on cycles; scanning ascending makes k the cut point
-        chain = [k]
-        visited[k] = True
-        node = succ[k]
-        while node != k:
-            chain.append(int(node))
-            visited[node] = True
-            node = succ[node]
-        strokes.append(_emit_chain(segments, chain, closed=True))
+    # open chains start at nodes without a predecessor; the nodes left after
+    # them sit on cycles, and scanning ascending makes k a cycle's cut point
+    for closed in (False, True):
+        for k in range(len(segments)):
+            if visited[k] or (not closed and pred[k] != -1):
+                continue
+            chain = [k]
+            visited[k] = True
+            node = succ[k]
+            while node != (k if closed else -1):
+                chain.append(int(node))
+                visited[node] = True
+                node = succ[node]
+            strokes.append(_emit_chain(segments, chain, closed))
     return strokes

@@ -14,12 +14,12 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def line_plot(path, xs, series: dict[str, list[float]], xlabel: str, ylabel: str,
-              title: str = "", size: tuple[int, int] = (640, 420)) -> None:
+              title: str = "") -> None:
     """Write an SVG with one polyline per named series over common x values."""
     xs = [float(x) for x in xs]
     if not xs or not series:
         raise ValueError("need at least one x value and one series")
-    width, height = size
+    width, height = 640, 420
     ml, mr, mt, mb = 70, 20, 40, 55
     pw, ph = width - ml - mr, height - mt - mb
     ys_all = [float(v) for vals in series.values() for v in vals]

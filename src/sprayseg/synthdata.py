@@ -14,45 +14,39 @@ import numpy as np
 
 from . import geometry
 from .geometry import TriMesh
-from .kvio import read_keyvalues, write_keyvalues
+from .kvio import write_keyvalues
 
 CATEGORIES = ("cuboids", "windows", "shelves", "containers")
 _CAT_INDEX = {c: i for i, c in enumerate(CATEGORIES)}
 
+# Procedural generator distributions. Pass/turn counts are fixed per category
+# so that the stroke layout varies smoothly with the sampled dimensions.
+_STANDOFF_FRAC = 0.28      # stand-off as a fraction of the characteristic dimension
+_MARGIN_FRAC = 0.15        # raster inset from panel borders (fraction of half extent)
+_TILT_DEG = (15.0, 25.0)   # per-stroke lead angle into travel
+_PHASE_JITTER = 0.5        # raster pass shift, in pass-pitch units
+_STANDOFF_JITTER = (0.9, 1.15)
+_CUBOID_SIZE = (0.3, 0.5)
+_CUBOID_PASSES = 6
+_CUBOID_POSES = 333
+_WINDOW_OUTER = (0.5, 0.9)
+_WINDOW_BAR = (0.07, 0.12)
+_WINDOW_DEPTH = (0.04, 0.07)
+_WINDOW_PASSES = 2
+_WINDOW_POSES = 160
+_SHELF_SPAN = (0.5, 0.9)
+_SHELF_DEPTH = (0.25, 0.4)
+_SHELF_THICKNESS = (0.02, 0.035)
+_SHELF_COUNT = (2, 4)
+_SHELF_PASSES = 4
+_SHELF_POSES = 240
+_CONTAINER_BASE = (0.3, 0.6)
+_CONTAINER_HEIGHT = (0.25, 0.5)
+_CONTAINER_WALL = (0.02, 0.04)
+_CONTAINER_TURNS = 6
+_CONTAINER_POSES = 700
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Knobs of the procedural object generator.
-
-    Pass/turn counts are fixed per category so that the stroke layout varies
-    smoothly with the sampled dimensions.
-    """
-
-    standoff_frac: float = 0.28       # stand-off as a fraction of the characteristic dimension
-    margin_frac: float = 0.15         # raster inset from panel borders (fraction of half extent)
-    face_grid: int = 6                # per-panel subdivision of the simulation mesh
-    tilt_deg: tuple[float, float] = (15.0, 25.0)   # per-stroke lead angle into travel
-    phase_jitter: float = 0.5         # raster pass shift, in pass-pitch units
-    standoff_jitter: tuple[float, float] = (0.9, 1.15)
-    cuboid_size: tuple[float, float] = (0.3, 0.5)
-    cuboid_passes: int = 6
-    cuboid_poses: int = 333
-    window_outer: tuple[float, float] = (0.5, 0.9)
-    window_bar: tuple[float, float] = (0.07, 0.12)
-    window_depth: tuple[float, float] = (0.04, 0.07)
-    window_passes: int = 2
-    window_poses: int = 160
-    shelf_span: tuple[float, float] = (0.5, 0.9)
-    shelf_depth: tuple[float, float] = (0.25, 0.4)
-    shelf_thickness: tuple[float, float] = (0.02, 0.035)
-    shelf_count: tuple[int, int] = (2, 4)
-    shelf_passes: int = 4
-    shelf_poses: int = 240
-    container_base: tuple[float, float] = (0.3, 0.6)
-    container_height: tuple[float, float] = (0.25, 0.5)
-    container_wall: tuple[float, float] = (0.02, 0.04)
-    container_turns: int = 6
-    container_poses: int = 700
+_UNIT_TOL = 1e-6           # allowed deviation of an orientation norm from 1
 
 
 @dataclass
@@ -65,7 +59,7 @@ class SampleRecord:
     seed: int
 
 
-def validate_strokes(strokes: list[np.ndarray], unit_tol: float = 1e-6) -> None:
+def validate_strokes(strokes: list[np.ndarray]) -> None:
     """Check pose-array invariants: shape, finiteness, unit orientations, motion."""
     for s in strokes:
         s = np.asarray(s)
@@ -74,7 +68,7 @@ def validate_strokes(strokes: list[np.ndarray], unit_tol: float = 1e-6) -> None:
         if not np.isfinite(s).all():
             raise ValueError("stroke contains non-finite values")
         norms = np.linalg.norm(s[:, 3:], axis=1)
-        if np.abs(norms - 1.0).max() > unit_tol:
+        if np.abs(norms - 1.0).max() > _UNIT_TOL:
             raise ValueError("orientations must be unit vectors")
         steps = np.linalg.norm(np.diff(s[:, :3], axis=0), axis=1)
         if (steps == 0).any():
@@ -156,7 +150,7 @@ def _tilted_orientations(pos: np.ndarray, inward: np.ndarray, tilt: float) -> np
 
 
 def _raster_stroke(face_center, u_dir, v_dir, normal, half_u, half_v,
-                   standoff, n_passes, n_poses, tilt: float = 0.0,
+                   standoff, n_passes, n_poses, tilt: float,
                    phase: float = 0.0) -> np.ndarray:
     """Serpentine raster over a rectangle, hovering at stand-off along `normal`.
 
@@ -174,13 +168,11 @@ def _raster_stroke(face_center, u_dir, v_dir, normal, half_u, half_v,
         corners.append(origin + u_to * u_dir + v * v_dir)
     pos = _resample_polyline(np.array(corners), n_poses)
     inward = np.tile(-np.asarray(normal, dtype=np.float64), (n_poses, 1))
-    if tilt == 0.0:
-        return np.hstack([pos, inward])
     return np.hstack([pos, _tilted_orientations(pos, inward, tilt)])
 
 
 def _spiral_stroke(half_x, half_y, z_lo, z_hi, turns, n_poses, inward: bool,
-                   tilt: float = 0.0) -> np.ndarray:
+                   tilt: float) -> np.ndarray:
     """Rectangular helix around a wall loop; orientations face the nearest wall."""
     loop = [(half_x, half_y), (-half_x, half_y), (-half_x, -half_y), (half_x, -half_y)]
     corners = []
@@ -198,41 +190,39 @@ def _spiral_stroke(half_x, half_y, z_lo, z_hi, turns, n_poses, inward: bool,
     sign = -1.0 if inward else 1.0
     inward_dir[side_x, 0] = sign * np.sign(pos[side_x, 0])
     inward_dir[~side_x, 1] = sign * np.sign(pos[~side_x, 1])
-    if tilt == 0.0:
-        return np.hstack([pos, inward_dir])
     return np.hstack([pos, _tilted_orientations(pos, inward_dir, tilt)])
 
 
-def _gen_cuboid(rng: np.random.Generator, cfg: GeneratorConfig) -> tuple[TriMesh, list[np.ndarray]]:
-    size = rng.uniform(*cfg.cuboid_size, size=3)
-    mesh = _mesh_from_boxes([(np.zeros(3), size)], size.max() / cfg.face_grid)
-    standoff = cfg.standoff_frac * size.min() * rng.uniform(*cfg.standoff_jitter)
+def _gen_cuboid(rng: np.random.Generator, face_grid: int) -> tuple[TriMesh, list[np.ndarray]]:
+    size = rng.uniform(*_CUBOID_SIZE, size=3)
+    mesh = _mesh_from_boxes([(np.zeros(3), size)], size.max() / face_grid)
+    standoff = _STANDOFF_FRAC * size.min() * rng.uniform(*_STANDOFF_JITTER)
     # the pass envelope leaves room for the phase shift to stay inside the margin
-    envelope = (1 - cfg.margin_frac) * (cfg.cuboid_passes - 1) / cfg.cuboid_passes
+    envelope = (1 - _MARGIN_FRAC) * (_CUBOID_PASSES - 1) / _CUBOID_PASSES
     strokes = []
     for axis in range(3):
         ua, va = (axis + 1) % 3, (axis + 2) % 3
         for sign in (1.0, -1.0):
-            phase = rng.uniform(-cfg.phase_jitter, cfg.phase_jitter)
-            tilt = np.deg2rad(rng.uniform(*cfg.tilt_deg))
+            phase = rng.uniform(-_PHASE_JITTER, _PHASE_JITTER)
+            tilt = np.deg2rad(rng.uniform(*_TILT_DEG))
             center = np.zeros(3)
             center[axis] = sign * size[axis] / 2
             normal = np.zeros(3)
             normal[axis] = sign
             strokes.append(_raster_stroke(
                 center, np.eye(3)[ua], np.eye(3)[va], normal,
-                (1 - cfg.margin_frac) * size[ua] / 2,
+                (1 - _MARGIN_FRAC) * size[ua] / 2,
                 envelope * size[va] / 2,
-                standoff, cfg.cuboid_passes, cfg.cuboid_poses,
+                standoff, _CUBOID_PASSES, _CUBOID_POSES,
                 tilt=tilt, phase=phase))
     return mesh, strokes
 
 
-def _gen_window(rng: np.random.Generator, cfg: GeneratorConfig) -> tuple[TriMesh, list[np.ndarray]]:
-    w = rng.uniform(*cfg.window_outer)
-    h = rng.uniform(*cfg.window_outer)
-    bar = rng.uniform(*cfg.window_bar)
-    depth = rng.uniform(*cfg.window_depth)
+def _gen_window(rng: np.random.Generator, face_grid: int) -> tuple[TriMesh, list[np.ndarray]]:
+    w = rng.uniform(*_WINDOW_OUTER)
+    h = rng.uniform(*_WINDOW_OUTER)
+    bar = rng.uniform(*_WINDOW_BAR)
+    depth = rng.uniform(*_WINDOW_DEPTH)
     # frame in the xz plane, depth along y; four slabs: left, right, top, bottom
     slabs = [
         (np.array([-(w - bar) / 2, 0.0, 0.0]), np.array([bar, depth, h])),
@@ -240,70 +230,70 @@ def _gen_window(rng: np.random.Generator, cfg: GeneratorConfig) -> tuple[TriMesh
         (np.array([0.0, 0.0, +(h - bar) / 2]), np.array([w - 2 * bar, depth, bar])),
         (np.array([0.0, 0.0, -(h - bar) / 2]), np.array([w - 2 * bar, depth, bar])),
     ]
-    mesh = _mesh_from_boxes(slabs, max(w, h) / cfg.face_grid)
-    standoff = cfg.standoff_frac * 4.0 * bar * rng.uniform(*cfg.standoff_jitter)
+    mesh = _mesh_from_boxes(slabs, max(w, h) / face_grid)
+    standoff = _STANDOFF_FRAC * 4.0 * bar * rng.uniform(*_STANDOFF_JITTER)
     normal = np.array([0.0, 1.0, 0.0])
     strokes = []
     for center, size in slabs:
-        tilt = np.deg2rad(rng.uniform(*cfg.tilt_deg))
+        tilt = np.deg2rad(rng.uniform(*_TILT_DEG))
         face_center = center + np.array([0.0, size[1] / 2, 0.0])
         long_axis = 2 if size[2] >= size[0] else 0
         short_axis = 0 if long_axis == 2 else 2
         strokes.append(_raster_stroke(
             face_center, np.eye(3)[long_axis], np.eye(3)[short_axis], normal,
-            (1 - cfg.margin_frac) * size[long_axis] / 2,
-            (1 - cfg.margin_frac) * size[short_axis] / 2,
-            standoff, cfg.window_passes, cfg.window_poses, tilt=tilt))
+            (1 - _MARGIN_FRAC) * size[long_axis] / 2,
+            (1 - _MARGIN_FRAC) * size[short_axis] / 2,
+            standoff, _WINDOW_PASSES, _WINDOW_POSES, tilt=tilt))
     return mesh, strokes
 
 
-def _gen_shelf(rng: np.random.Generator, cfg: GeneratorConfig) -> tuple[TriMesh, list[np.ndarray]]:
-    w = rng.uniform(*cfg.shelf_span)
-    h = rng.uniform(*cfg.shelf_span)
-    d = rng.uniform(*cfg.shelf_depth)
-    t = rng.uniform(*cfg.shelf_thickness)
-    n_sh = int(rng.integers(cfg.shelf_count[0], cfg.shelf_count[1] + 1))
+def _gen_shelf(rng: np.random.Generator, face_grid: int) -> tuple[TriMesh, list[np.ndarray]]:
+    w = rng.uniform(*_SHELF_SPAN)
+    h = rng.uniform(*_SHELF_SPAN)
+    d = rng.uniform(*_SHELF_DEPTH)
+    t = rng.uniform(*_SHELF_THICKNESS)
+    n_sh = int(rng.integers(_SHELF_COUNT[0], _SHELF_COUNT[1] + 1))
     boxes = [
         (np.array([-(w - t) / 2, 0.0, 0.0]), np.array([t, d, h])),
         (np.array([+(w - t) / 2, 0.0, 0.0]), np.array([t, d, h])),
     ]
     for z in np.linspace(-h / 2 + t, h / 2 - t, n_sh):
         boxes.append((np.array([0.0, 0.0, z]), np.array([w - 2 * t, d, t])))
-    mesh = _mesh_from_boxes(boxes, max(w, h) / cfg.face_grid)
-    standoff = cfg.standoff_frac * d * rng.uniform(*cfg.standoff_jitter)
+    mesh = _mesh_from_boxes(boxes, max(w, h) / face_grid)
+    standoff = _STANDOFF_FRAC * d * rng.uniform(*_STANDOFF_JITTER)
     strokes = []
     for side, (center, size) in zip((-1.0, 1.0), boxes[:2]):
-        tilt = np.deg2rad(rng.uniform(*cfg.tilt_deg))
+        tilt = np.deg2rad(rng.uniform(*_TILT_DEG))
         normal = np.array([side, 0.0, 0.0])
         face_center = center + normal * size[0] / 2
         strokes.append(_raster_stroke(
             face_center, np.eye(3)[2], np.eye(3)[1], normal,
-            (1 - cfg.margin_frac) * size[2] / 2,
-            (1 - cfg.margin_frac) * size[1] / 2,
-            standoff, cfg.shelf_passes, cfg.shelf_poses, tilt=tilt))
+            (1 - _MARGIN_FRAC) * size[2] / 2,
+            (1 - _MARGIN_FRAC) * size[1] / 2,
+            standoff, _SHELF_PASSES, _SHELF_POSES, tilt=tilt))
     # keep shelf-top poses closer to their own panel than to the shelf above
     # or the side panels, so orientations always face the nearest surface
     air_gap = (h - 2 * t) / (n_sh - 1) - t if n_sh > 1 else h
     shelf_standoff = min(standoff, 0.45 * air_gap)
     normal = np.array([0.0, 0.0, 1.0])
     for center, size in boxes[2:]:
-        tilt = np.deg2rad(rng.uniform(*cfg.tilt_deg))
+        tilt = np.deg2rad(rng.uniform(*_TILT_DEG))
         face_center = center + normal * size[2] / 2
-        half_x = min((1 - cfg.margin_frac) * size[0] / 2,
+        half_x = min((1 - _MARGIN_FRAC) * size[0] / 2,
                      size[0] / 2 - 1.25 * shelf_standoff)
         strokes.append(_raster_stroke(
             face_center, np.eye(3)[0], np.eye(3)[1], normal,
             half_x,
-            (1 - cfg.margin_frac) * size[1] / 2,
-            shelf_standoff, cfg.shelf_passes, cfg.shelf_poses, tilt=tilt))
+            (1 - _MARGIN_FRAC) * size[1] / 2,
+            shelf_standoff, _SHELF_PASSES, _SHELF_POSES, tilt=tilt))
     return mesh, strokes
 
 
-def _gen_container(rng: np.random.Generator, cfg: GeneratorConfig) -> tuple[TriMesh, list[np.ndarray]]:
-    w = rng.uniform(*cfg.container_base)
-    d = rng.uniform(*cfg.container_base)
-    h = rng.uniform(*cfg.container_height)
-    t = rng.uniform(*cfg.container_wall)
+def _gen_container(rng: np.random.Generator, face_grid: int) -> tuple[TriMesh, list[np.ndarray]]:
+    w = rng.uniform(*_CONTAINER_BASE)
+    d = rng.uniform(*_CONTAINER_BASE)
+    h = rng.uniform(*_CONTAINER_HEIGHT)
+    t = rng.uniform(*_CONTAINER_WALL)
     boxes = [
         (np.array([0.0, 0.0, -(h - t) / 2]), np.array([w - 2 * t, d - 2 * t, t])),
         (np.array([-(w - t) / 2, 0.0, 0.0]), np.array([t, d, h])),
@@ -311,21 +301,21 @@ def _gen_container(rng: np.random.Generator, cfg: GeneratorConfig) -> tuple[TriM
         (np.array([0.0, -(d - t) / 2, 0.0]), np.array([w - 2 * t, t, h])),
         (np.array([0.0, +(d - t) / 2, 0.0]), np.array([w - 2 * t, t, h])),
     ]
-    mesh = _mesh_from_boxes(boxes, max(w, d, h) / cfg.face_grid)
-    standoff = cfg.standoff_frac * min(w, d) * rng.uniform(*cfg.standoff_jitter)
-    tilt_outer = np.deg2rad(rng.uniform(*cfg.tilt_deg))
-    tilt_inner = np.deg2rad(rng.uniform(*cfg.tilt_deg))
+    mesh = _mesh_from_boxes(boxes, max(w, d, h) / face_grid)
+    standoff = _STANDOFF_FRAC * min(w, d) * rng.uniform(*_STANDOFF_JITTER)
+    tilt_outer = np.deg2rad(rng.uniform(*_TILT_DEG))
+    tilt_inner = np.deg2rad(rng.uniform(*_TILT_DEG))
     z_margin = 0.08 * h
     outer = _spiral_stroke(w / 2 + standoff, d / 2 + standoff,
                            -h / 2 + z_margin, h / 2 - z_margin,
-                           cfg.container_turns, cfg.container_poses, inward=True,
+                           _CONTAINER_TURNS, _CONTAINER_POSES, inward=True,
                            tilt=tilt_outer)
     inner_off = min(standoff, 0.35 * (min(w, d) / 2 - t))
     # start the inner spiral high enough that the wall stays the nearest surface
     inner_z_lo = -h / 2 + t + max(z_margin, 1.25 * inner_off)
     inner = _spiral_stroke(w / 2 - t - inner_off, d / 2 - t - inner_off,
                            inner_z_lo, h / 2 - z_margin,
-                           cfg.container_turns, cfg.container_poses, inward=False,
+                           _CONTAINER_TURNS, _CONTAINER_POSES, inward=False,
                            tilt=tilt_inner)
     return mesh, [outer, inner]
 
@@ -338,13 +328,15 @@ _GENERATORS = {
 }
 
 
-def generate_object(category: str, seed: int, params: GeneratorConfig | None = None) -> SampleRecord:
-    """Generate one (mesh, expert strokes) pair; bit-deterministic per (category, seed)."""
+def generate_object(category: str, seed: int, face_grid: int = 6) -> SampleRecord:
+    """Generate one (mesh, expert strokes) pair; bit-deterministic per (category, seed).
+
+    `face_grid` is the per-panel subdivision of the simulation mesh.
+    """
     if category not in CATEGORIES:
         raise ValueError(f"unknown category {category!r}; expected one of {CATEGORIES}")
-    cfg = params or GeneratorConfig()
     rng = np.random.default_rng([_CAT_INDEX[category], seed])
-    mesh, strokes = _GENERATORS[category](rng, cfg)
+    mesh, strokes = _GENERATORS[category](rng, face_grid)
     return SampleRecord(mesh=mesh, strokes=strokes, category=category, seed=seed)
 
 
@@ -463,6 +455,8 @@ def load_strokes(dirpath, stem: str = "stroke") -> list[np.ndarray]:
             raise ValueError(f"{p}: expected 6 values per line")
         if not np.isfinite(s).all():
             raise ValueError(f"{p}: non-finite pose value")
+        if np.abs(np.linalg.norm(s[:, 3:], axis=1) - 1.0).max() > _UNIT_TOL:
+            raise ValueError(f"{p}: orientations must be unit vectors")
         strokes.append(s)
     return strokes
 
@@ -475,11 +469,3 @@ def save_sample(record: SampleRecord, dirpath) -> None:
     save_strokes(record.strokes, dirpath)
     write_keyvalues(dirpath / "meta.txt", {"category": record.category, "seed": record.seed})
 
-
-def load_sample(dirpath) -> SampleRecord:
-    dirpath = Path(dirpath)
-    mesh, _ = geometry.load_mesh(dirpath / "mesh.txt")
-    strokes = load_strokes(dirpath)
-    meta = read_keyvalues(dirpath / "meta.txt")
-    return SampleRecord(mesh=mesh, strokes=strokes,
-                        category=meta["category"], seed=int(meta["seed"]))

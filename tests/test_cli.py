@@ -145,6 +145,16 @@ class TestTrainPredict:
         out = cli.cmd_train(warm, data, tmp_path / "warm", pretrained=ckpt)
         assert out.exists()
 
+    def test_pipeline_rerun_identical_bytes(self, tiny_dataset, tmp_path):
+        cfg, data = tiny_dataset
+        for run in ("a", "b"):
+            out = tmp_path / run
+            ckpt = cli.cmd_train(cfg, data, out / "run")
+            pred = cli.cmd_predict(cfg, ckpt, data, out / "pred")
+            cli.cmd_concat(cfg, pred, data, out / "linked")
+            cli.cmd_evaluate(cfg, data, out / "eval", checkpoint=ckpt, concat=True)
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
 
 class TestEvaluate:
     def test_ground_truth_passthrough(self, tiny_dataset, tmp_path):
@@ -335,6 +345,41 @@ class TestMainEntry:
         argv = ["evaluate", "--dataset", str(copy), "--ground-truth", "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 1
         assert "mesh.txt" in capsys.readouterr().err
+
+    def test_diverging_training_fails_naming_the_epoch(self, tiny_dataset, tmp_path, capsys):
+        _, data = tiny_dataset
+        conf = tmp_path / "conf.txt"
+        conf.write_text("learning_rate = 1e200\nepochs = 5\n")
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["train", "--config", str(conf), "--dataset", str(data),
+                             "--out", str(out)])
+        assert code == 1
+        assert "epoch 1" in capsys.readouterr().err
+        assert not (out / "checkpoint.ckpt").exists()
+
+    def test_truncated_checkpoint_fails_naming_the_file(self, tiny_checkpoint, tmp_path,
+                                                        capsys):
+        _, data, ckpt = tiny_checkpoint
+        bad = tmp_path / "truncated.ckpt"
+        bad.write_bytes(ckpt.read_bytes()[:-8])
+        argv = ["predict", "--dataset", str(data), "--checkpoint", str(bad),
+                "--out", str(tmp_path / "pred")]
+        assert cli.main(argv) == 1
+        assert "truncated.ckpt" in capsys.readouterr().err
+
+    def test_non_unit_orientation_fails_naming_the_file(self, tiny_dataset, tmp_path, capsys):
+        _, data = tiny_dataset
+        copy = tmp_path / "dataset"
+        shutil.copytree(data, copy)
+        train_ids, _ = cli.read_split(copy)
+        stroke = sorted((copy / "samples" / train_ids[0]).glob("stroke_*.txt"))[0]
+        lines = stroke.read_text().splitlines()
+        lines[1] = "0 0 0.5 0 0 2"
+        stroke.write_text("\n".join(lines) + "\n")
+        argv = ["train", "--dataset", str(copy), "--epochs", "1", "--out", str(tmp_path / "r")]
+        assert cli.main(argv) == 1
+        assert stroke.name in capsys.readouterr().err
 
     def test_simulate_command(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset

@@ -249,8 +249,7 @@ class TestVisibleThreads:
 
 @pytest.mark.parametrize("category", synthdata.CATEGORIES)
 def test_deposit_field_identical_to_reference_kernel(category, monkeypatch):
-    rec = synthdata.generate_object(category, seed=0,
-                                    params=synthdata.GeneratorConfig(face_grid=3))
+    rec = synthdata.generate_object(category, seed=0, face_grid=3)
     gun = SprayGunModel(cone_half_angle=np.deg2rad(45.0), max_range=0.5, flux=1.0)
     fields = []
     for workers in (spraysim._WORKERS, 1):   # the default count, then serial

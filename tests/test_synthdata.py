@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sprayseg import synthdata
+from sprayseg import geometry, synthdata
+from sprayseg.kvio import read_keyvalues
 from sprayseg.synthdata import (
     decompose_segments,
     downsample_strokes,
@@ -193,7 +194,10 @@ class TestSerialization:
     def test_sample_roundtrip(self, tmp_path):
         rec = generate_object("windows", seed=21)
         synthdata.save_sample(rec, tmp_path / "s0")
-        again = synthdata.load_sample(tmp_path / "s0")
+        mesh, _ = geometry.load_mesh(tmp_path / "s0" / "mesh.txt")
+        meta = read_keyvalues(tmp_path / "s0" / "meta.txt")
+        again = synthdata.SampleRecord(mesh=mesh, strokes=synthdata.load_strokes(tmp_path / "s0"),
+                                       category=meta["category"], seed=int(meta["seed"]))
         assert record_equal(rec, again)
 
     def test_load_strokes_rejects_non_finite_naming_the_file(self, tmp_path):
