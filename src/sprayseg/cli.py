@@ -176,20 +176,28 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> Path:
 
 
 def read_split(dataset_dir) -> tuple[list[str], list[str]]:
-    train_ids, test_ids = [], []
-    for line in (Path(dataset_dir) / "split.txt").read_text().splitlines():
-        if not line.strip():
+    path = Path(dataset_dir) / "split.txt"
+    parts: dict[str, list[str]] = {"train": [], "test": []}
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
             continue
-        sid, part = line.split()
-        (train_ids if part == "train" else test_ids).append(sid)
-    return sorted(train_ids), sorted(test_ids)
+        if len(tokens) != 2 or tokens[1] not in parts:
+            raise CliError(f"{path}:{lineno}: expected '<sample id> train|test'")
+        parts[tokens[1]].append(tokens[0])
+    return sorted(parts["train"]), sorted(parts["test"])
 
 
 def read_meta(dataset_dir) -> dict:
-    meta = read_keyvalues(Path(dataset_dir) / "meta.txt")
-    return {"budget": int(meta["budget"]), "cloud_points": int(meta["cloud_points"]),
-            "scale_factor": float(meta["scale_factor"]),
-            "categories": meta["categories"].split(","), "seed": int(meta["seed"])}
+    path = Path(dataset_dir) / "meta.txt"
+    meta = read_keyvalues(path)
+    try:
+        return {"budget": int(meta["budget"]), "cloud_points": int(meta["cloud_points"]),
+                "scale_factor": float(meta["scale_factor"])}
+    except KeyError as exc:
+        raise CliError(f"{path}: missing key {exc}") from exc
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def load_dataset_sample(dataset_dir, sid: str):

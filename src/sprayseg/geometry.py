@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .kvio import load_rows, save_rows
+
 # Faces below this area are treated as degenerate and dropped at load time.
 DEGENERATE_AREA = 1e-12
 # Surface sampling draws this many candidates per requested point.
@@ -108,37 +110,24 @@ def load_mesh(path) -> tuple[TriMesh, int]:
 
 def save_mesh(mesh: TriMesh, path, vertex_scalars: np.ndarray | None = None) -> None:
     """Write the ASCII mesh format; an optional per-vertex scalar is appended to each v line."""
-    lines = []
-    if vertex_scalars is None:
-        for x, y, z in mesh.vertices:
-            lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    else:
+    verts = mesh.vertices
+    if vertex_scalars is not None:
         vertex_scalars = np.asarray(vertex_scalars, dtype=np.float64)
-        if vertex_scalars.shape != (len(mesh.vertices),):
+        if vertex_scalars.shape != (len(verts),):
             raise ValueError("vertex_scalars length must match vertex count")
-        for (x, y, z), s in zip(mesh.vertices, vertex_scalars):
-            lines.append(f"v {x:.17g} {y:.17g} {z:.17g} {s:.17g}")
-    for i, j, k in mesh.faces + 1:
-        lines.append(f"f {i} {j} {k}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        verts = np.column_stack([verts, vertex_scalars])
+    with open(path, "w") as fh:
+        np.savetxt(fh, verts, fmt="v" + " %.17g" * verts.shape[1])
+        np.savetxt(fh, mesh.faces + 1, fmt="f %d %d %d")
 
 
 def save_point_cloud(points: np.ndarray, path) -> None:
     """Write one "x y z" line per point."""
-    points = np.asarray(points, dtype=np.float64)
-    lines = [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in points]
-    Path(path).write_text("\n".join(lines) + "\n")
+    save_rows(path, points)
 
 
 def load_point_cloud(path) -> np.ndarray:
-    rows = [[float(t) for t in line.split()]
-            for line in Path(path).read_text().splitlines() if line.strip()]
-    cloud = np.array(rows, dtype=np.float64)
-    if cloud.ndim != 2 or cloud.shape[1] != 3 or len(cloud) == 0:
-        raise ValueError(f"{path}: expected one 'x y z' line per point")
-    if not np.isfinite(cloud).all():
-        raise ValueError(f"{path}: non-finite coordinate")
-    return cloud
+    return load_rows(path, 3)
 
 
 def _greedy_thin(points: np.ndarray, radius: float, n_target: int) -> list[int]:

@@ -11,12 +11,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .geometry import TriMesh
+from .kvio import load_rows, save_rows
 from .objective import LossWeights, _chamfer
+from .synthdata import check_poses
 
 # CPUs this process may run on: the number of threads _visible spreads over
 try:
@@ -153,17 +154,7 @@ def deposit(mesh: TriMesh, strokes: list[np.ndarray], gun: SprayGunModel) -> np.
     tris = mesh.triangles
     field = np.zeros(len(verts))
     cos_half = np.cos(gun.cone_half_angle)
-    all_poses = []
-    for stroke in strokes:
-        stroke = np.asarray(stroke, dtype=np.float64)
-        if stroke.ndim != 2 or stroke.shape[1] != 6:
-            raise ValueError("each stroke must be an (N, 6) pose array")
-        if not np.isfinite(stroke).all():
-            raise ValueError("stroke poses must be finite")
-        norms = np.linalg.norm(stroke[:, 3:], axis=1)
-        if len(stroke) and np.abs(norms - 1.0).max() > 1e-6:
-            raise ValueError("stroke orientations must be unit vectors")
-        all_poses.append(stroke)
+    all_poses = [check_poses(stroke) for stroke in strokes]
     if not all_poses:
         return field
     poses = np.concatenate(all_poses)
@@ -228,10 +219,8 @@ def pose_chamfer(pred_poses: np.ndarray, gt_poses: np.ndarray,
 
 def save_thickness(field: np.ndarray, path) -> None:
     """One thickness value per line, aligned with mesh vertex order."""
-    lines = [f"{x:.17g}" for x in np.asarray(field, dtype=np.float64)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    save_rows(path, field)
 
 
 def load_thickness(path) -> np.ndarray:
-    values = [float(line) for line in Path(path).read_text().splitlines() if line.strip()]
-    return np.array(values, dtype=np.float64)
+    return load_rows(path, 1)[:, 0]

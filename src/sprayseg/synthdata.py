@@ -14,7 +14,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import TriMesh
-from .kvio import write_keyvalues
+from .kvio import load_rows, save_rows, write_keyvalues
 
 CATEGORIES = ("cuboids", "windows", "shelves", "containers")
 _CAT_INDEX = {c: i for i, c in enumerate(CATEGORIES)}
@@ -59,17 +59,26 @@ class SampleRecord:
     seed: int
 
 
+def check_poses(poses, where: str = "") -> np.ndarray:
+    """`poses` as an (N, 6) float array with finite values and unit orientations;
+    `where` (a file path, say) prefixes the error messages."""
+    prefix = f"{where}: " if where else ""
+    poses = np.asarray(poses, dtype=np.float64)
+    if poses.ndim != 2 or poses.shape[1] != 6:
+        raise ValueError(f"{prefix}each stroke must be an (N, 6) pose array")
+    if not np.isfinite(poses).all():
+        raise ValueError(f"{prefix}non-finite pose value")
+    if (np.abs(np.linalg.norm(poses[:, 3:], axis=1) - 1.0) > _UNIT_TOL).any():
+        raise ValueError(f"{prefix}orientations must be unit vectors")
+    return poses
+
+
 def validate_strokes(strokes: list[np.ndarray]) -> None:
     """Check pose-array invariants: shape, finiteness, unit orientations, motion."""
     for s in strokes:
-        s = np.asarray(s)
-        if s.ndim != 2 or s.shape[1] != 6 or len(s) < 2:
+        s = check_poses(s)
+        if len(s) < 2:
             raise ValueError("each stroke must be an (N, 6) array with N >= 2")
-        if not np.isfinite(s).all():
-            raise ValueError("stroke contains non-finite values")
-        norms = np.linalg.norm(s[:, 3:], axis=1)
-        if np.abs(norms - 1.0).max() > _UNIT_TOL:
-            raise ValueError("orientations must be unit vectors")
         steps = np.linalg.norm(np.diff(s[:, :3], axis=0), axis=1)
         if (steps == 0).any():
             raise ValueError("consecutive stroke positions must be distinct")
@@ -438,27 +447,14 @@ def save_strokes(strokes: list[np.ndarray], dirpath, stem: str = "stroke") -> No
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     for i, s in enumerate(strokes):
-        lines = [" ".join(f"{x:.17g}" for x in pose) for pose in np.asarray(s, dtype=np.float64)]
-        (dirpath / f"{stem}_{i:03d}.txt").write_text("\n".join(lines) + "\n")
+        save_rows(dirpath / f"{stem}_{i:03d}.txt", s)
 
 
 def load_strokes(dirpath, stem: str = "stroke") -> list[np.ndarray]:
     paths = sorted(Path(dirpath).glob(f"{stem}_*.txt"))
     if not paths:
         raise FileNotFoundError(f"no {stem}_*.txt files under {dirpath}")
-    strokes = []
-    for p in paths:
-        rows = [[float(t) for t in line.split()]
-                for line in p.read_text().splitlines() if line.strip()]
-        s = np.array(rows, dtype=np.float64)
-        if s.ndim != 2 or s.shape[1] != 6:
-            raise ValueError(f"{p}: expected 6 values per line")
-        if not np.isfinite(s).all():
-            raise ValueError(f"{p}: non-finite pose value")
-        if np.abs(np.linalg.norm(s[:, 3:], axis=1) - 1.0).max() > _UNIT_TOL:
-            raise ValueError(f"{p}: orientations must be unit vectors")
-        strokes.append(s)
-    return strokes
+    return [check_poses(load_rows(p, 6), str(p)) for p in paths]
 
 
 def save_sample(record: SampleRecord, dirpath) -> None:

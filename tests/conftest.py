@@ -34,6 +34,18 @@ def cube_mesh_path(tmp_path):
     return path
 
 
+def malformed_rows(valid_line):
+    """Texts of a numeric row file that every row loader must reject, by case id."""
+    tokens = valid_line.split()
+    return {"non_numeric": " ".join(tokens[:-1] + ["x"]) + "\n",
+            "ragged": f"{valid_line}\n{valid_line} 0\n",
+            "wrong_width": f"{valid_line} 0\n{valid_line} 0\n",
+            "empty": ""}
+
+
+MALFORMED = tuple(malformed_rows("0"))
+
+
 def finite_difference_gradient(f, x, h=1e-6):
     """Central-difference gradient of a scalar function over a flat array."""
     x = np.asarray(x, dtype=np.float64)

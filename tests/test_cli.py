@@ -323,15 +323,15 @@ class TestMainEntry:
         _, test_ids = cli.read_split(copy)
         cloud = copy / "samples" / test_ids[0] / "cloud.txt"
         lines = cloud.read_text().splitlines()
-        lines[1] = "nan nan nan"
-        cloud.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         if command == "predict":
             argv = ["predict", "--dataset", str(copy), "--checkpoint", str(ckpt)]
         else:
             argv = ["evaluate", "--dataset", str(copy), "--ground-truth", "--concat"]
-        assert cli.main(argv + ["--out", str(out)]) == 1
-        assert "cloud.txt" in capsys.readouterr().err
+        for bad_line in ("nan nan nan", "1 2", "1 x 2"):
+            cloud.write_text("\n".join(lines[:1] + [bad_line] + lines[2:]) + "\n")
+            assert cli.main(argv + ["--out", str(out)]) == 1
+            assert "cloud.txt" in capsys.readouterr().err
 
     def test_non_finite_mesh_fails_naming_the_file(self, tiny_dataset, tmp_path, capsys):
         _, data = tiny_dataset
@@ -345,6 +345,26 @@ class TestMainEntry:
         argv = ["evaluate", "--dataset", str(copy), "--ground-truth", "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 1
         assert "mesh.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file, edit", [
+        ("meta.txt", lambda text: "".join(line for line in text.splitlines(True)
+                                          if not line.startswith("budget"))),
+        ("meta.txt", lambda text: text.replace("budget = 96", "budget = 4x0")),
+        ("split.txt", lambda text: text.replace(" train\n", "\n", 1)),
+        ("split.txt", lambda text: text.replace(" train\n", " tset\n", 1)),
+    ], ids=["missing_budget", "bad_budget", "missing_label", "unknown_label"])
+    def test_bad_dataset_metadata_fails_naming_the_file(self, tiny_dataset, tmp_path,
+                                                        file, edit, capsys):
+        _, data = tiny_dataset
+        copy = tmp_path / "dataset"
+        shutil.copytree(data, copy)
+        path = copy / file
+        before = path.read_text()
+        path.write_text(edit(before))
+        assert path.read_text() != before
+        argv = ["train", "--dataset", str(copy), "--epochs", "1", "--out", str(tmp_path / "r")]
+        assert cli.main(argv) == 1
+        assert str(path) in capsys.readouterr().err
 
     def test_diverging_training_fails_naming_the_epoch(self, tiny_dataset, tmp_path, capsys):
         _, data = tiny_dataset

@@ -4,7 +4,7 @@ import pytest
 from sprayseg import geometry
 from sprayseg.geometry import MeshError
 
-from conftest import CUBE_MESH_TEXT
+from conftest import CUBE_MESH_TEXT, MALFORMED, malformed_rows
 
 
 def barycentric_residual(point, tri):
@@ -75,6 +75,13 @@ class TestLoadPointCloud:
     def test_rejects_non_finite_naming_the_file(self, tmp_path):
         path = tmp_path / "cloud.txt"
         path.write_text("0 0 0\nnan nan nan\n1 1 1\n")
+        with pytest.raises(ValueError, match="cloud.txt"):
+            geometry.load_point_cloud(path)
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_rejects_malformed_naming_the_file(self, tmp_path, case):
+        path = tmp_path / "cloud.txt"
+        path.write_text(malformed_rows("0 0 0")[case])
         with pytest.raises(ValueError, match="cloud.txt"):
             geometry.load_point_cloud(path)
 

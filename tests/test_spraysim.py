@@ -16,6 +16,8 @@ from sprayseg.spraysim import (
     pose_chamfer,
 )
 
+from conftest import MALFORMED, malformed_rows
+
 W = LossWeights(alpha=0.5, orientation_weight=0.25)
 GUN = SprayGunModel(cone_half_angle=np.deg2rad(30.0), max_range=2.0, flux=1.0)
 
@@ -351,6 +353,36 @@ class TestDeposit:
             SprayGunModel(max_range=0.0)
         with pytest.raises(ValueError):
             SprayGunModel(flux=-1.0)
+
+
+@pytest.mark.parametrize("excess, accepted", [(5e-7, True), (2e-6, False)])
+def test_one_unit_tolerance_for_every_pose_check(excess, accepted, tmp_path):
+    stroke = np.array([[0.0, 0, 1, 0, 0, -1.0 - excess], [0.1, 0, 1, 0, 0, -1.0]])
+    synthdata.save_strokes([stroke], tmp_path)
+    checks = (lambda: synthdata.validate_strokes([stroke]),
+              lambda: synthdata.load_strokes(tmp_path),
+              lambda: deposit(plane_mesh(grid=2), [stroke], GUN))
+    for check in checks:
+        if accepted:
+            check()
+        else:
+            with pytest.raises(ValueError, match="unit vectors"):
+                check()
+
+
+class TestThicknessFile:
+    def test_rejects_non_finite_naming_the_file(self, tmp_path):
+        path = tmp_path / "gt_thickness.txt"
+        path.write_text("0.5\nnan\n")
+        with pytest.raises(ValueError, match=path.name):
+            spraysim.load_thickness(path)
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_rejects_malformed_naming_the_file(self, tmp_path, case):
+        path = tmp_path / "gt_thickness.txt"
+        path.write_text(malformed_rows("0.5")[case])
+        with pytest.raises(ValueError, match=path.name):
+            spraysim.load_thickness(path)
 
 
 class TestCoverageThreshold:

@@ -12,6 +12,8 @@ from sprayseg.synthdata import (
     validate_strokes,
 )
 
+from conftest import MALFORMED, malformed_rows
+
 
 def record_equal(a, b):
     return (np.array_equal(a.mesh.vertices, b.mesh.vertices)
@@ -204,6 +206,13 @@ class TestSerialization:
         synthdata.save_strokes([np.array([[0.0, 0, 1, 0, 0, -1]] * 3)], tmp_path)
         path = sorted(tmp_path.glob("stroke_*.txt"))[0]
         path.write_text(path.read_text() + "0 0 inf 0 0 -1\n")
+        with pytest.raises(ValueError, match=path.name):
+            synthdata.load_strokes(tmp_path)
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_load_strokes_rejects_malformed_naming_the_file(self, tmp_path, case):
+        path = tmp_path / "stroke_000.txt"
+        path.write_text(malformed_rows("0 0 1 0 0 -1")[case])
         with pytest.raises(ValueError, match=path.name):
             synthdata.load_strokes(tmp_path)
 
