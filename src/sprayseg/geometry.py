@@ -13,6 +13,8 @@ from .kvio import load_rows, save_rows
 DEGENERATE_AREA = 1e-12
 # Surface sampling draws this many candidates per requested point.
 _OVERSAMPLE = 4
+# Allowed deviation of a pose orientation's norm from 1.
+_UNIT_TOL = 1e-6
 
 
 class MeshError(ValueError):
@@ -57,6 +59,19 @@ class NormalizationTransform:
             raise ValueError("centroid must be a 3-vector")
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be a positive finite scalar")
+
+
+def check_poses(poses, where: str = "") -> np.ndarray:
+    """`poses` as a finite (N, 6) float array with unit orientations; errors name `where`."""
+    prefix = f"{where}: " if where else ""
+    poses = np.asarray(poses, dtype=np.float64)
+    if poses.ndim != 2 or poses.shape[1] != 6:
+        raise ValueError(f"{prefix}each stroke must be an (N, 6) pose array")
+    if not np.isfinite(poses).all():
+        raise ValueError(f"{prefix}non-finite pose value")
+    if (np.abs(np.linalg.norm(poses[:, 3:], axis=1) - 1.0) > _UNIT_TOL).any():
+        raise ValueError(f"{prefix}orientations must be unit vectors")
+    return poses
 
 
 def face_areas(mesh: TriMesh) -> np.ndarray:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TriMesh
+from .geometry import TriMesh, check_poses
 from .kvio import load_rows, save_rows
 from .objective import LossWeights, _chamfer
-from .synthdata import check_poses
 
 # CPUs this process may run on: the number of threads _visible spreads over
 try:

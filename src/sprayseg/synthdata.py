@@ -46,8 +46,6 @@ _CONTAINER_WALL = (0.02, 0.04)
 _CONTAINER_TURNS = 6
 _CONTAINER_POSES = 700
 
-_UNIT_TOL = 1e-6           # allowed deviation of an orientation norm from 1
-
 
 @dataclass
 class SampleRecord:
@@ -59,24 +57,10 @@ class SampleRecord:
     seed: int
 
 
-def check_poses(poses, where: str = "") -> np.ndarray:
-    """`poses` as an (N, 6) float array with finite values and unit orientations;
-    `where` (a file path, say) prefixes the error messages."""
-    prefix = f"{where}: " if where else ""
-    poses = np.asarray(poses, dtype=np.float64)
-    if poses.ndim != 2 or poses.shape[1] != 6:
-        raise ValueError(f"{prefix}each stroke must be an (N, 6) pose array")
-    if not np.isfinite(poses).all():
-        raise ValueError(f"{prefix}non-finite pose value")
-    if (np.abs(np.linalg.norm(poses[:, 3:], axis=1) - 1.0) > _UNIT_TOL).any():
-        raise ValueError(f"{prefix}orientations must be unit vectors")
-    return poses
-
-
 def validate_strokes(strokes: list[np.ndarray]) -> None:
     """Check pose-array invariants: shape, finiteness, unit orientations, motion."""
     for s in strokes:
-        s = check_poses(s)
+        s = geometry.check_poses(s)
         if len(s) < 2:
             raise ValueError("each stroke must be an (N, 6) array with N >= 2")
         steps = np.linalg.norm(np.diff(s[:, :3], axis=0), axis=1)
@@ -454,7 +438,7 @@ def load_strokes(dirpath, stem: str = "stroke") -> list[np.ndarray]:
     paths = sorted(Path(dirpath).glob(f"{stem}_*.txt"))
     if not paths:
         raise FileNotFoundError(f"no {stem}_*.txt files under {dirpath}")
-    return [check_poses(load_rows(p, 6), str(p)) for p in paths]
+    return [geometry.check_poses(load_rows(p, 6), str(p)) for p in paths]
 
 
 def save_sample(record: SampleRecord, dirpath) -> None:

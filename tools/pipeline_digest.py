@@ -1,21 +1,18 @@
 """Run a pinned small sprayseg pipeline and print the sha256 of every output file.
 
-Usage: python tools/pipeline_digest.py [--tree DIR] [--work DIR] > digest.txt
+Usage: python tools/pipeline_digest.py [--tree DIR] > digest.txt
 
 The pipeline is 4 categories x 5 objects at face_grid = 3, budget = 160 and
 5 epochs: generate, train, predict, concat, simulate --colored, evaluate with
 the checkpoint and with --ground-truth (each with and without --concat), and a
 tau sweep. sprayseg is imported from DIR/src (default: the tree holding this
-script), and every path handed to the commands is relative to the work
-directory, so the output is one "sha256  path" line per file and two trees
-compare with a plain diff:
+script), and the commands run in a temporary directory with relative paths,
+so the output is one "sha256  path" line per file and two trees compare with a
+plain diff:
 
     python tools/pipeline_digest.py --tree old_checkout > old.txt
     python tools/pipeline_digest.py > new.txt
     diff old.txt new.txt
-
-The work directory is temporary unless --work names one (it must be empty or
-absent).
 """
 
 from __future__ import annotations
@@ -52,12 +49,13 @@ COMMANDS = [
 ]
 
 
-def run_pipeline(work: Path) -> None:
-    """Run COMMANDS in `work`; {sid} stands for the first test sample."""
+def run_pipeline(work: Path, config: str = CONFIG) -> None:
+    """Run COMMANDS in `work` (which becomes the working directory) with the
+    given config.txt text; {sid} stands for the first test sample."""
     from sprayseg import cli
 
     os.chdir(work)
-    Path("config.txt").write_text(CONFIG)
+    Path("config.txt").write_text(config)
     sid = None
     for argv in COMMANDS:
         argv = [a.format(sid=sid) for a in argv]
@@ -76,7 +74,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1],
                         help="source tree whose src/ holds the sprayseg to run")
-    parser.add_argument("--work", type=Path, help="keep the outputs in this directory")
     args = parser.parse_args()
     src = args.tree.resolve() / "src"
     sys.path.insert(0, str(src))
@@ -85,10 +82,7 @@ def main() -> None:
     if Path(sprayseg.__file__).resolve().parents[1] != src:
         raise SystemExit(f"imported sprayseg from {sprayseg.__file__}, not from {src}")
     with tempfile.TemporaryDirectory() as tmp:
-        work = (args.work or Path(tmp)).resolve()
-        work.mkdir(parents=True, exist_ok=True)
-        if any(work.iterdir()):
-            raise SystemExit(f"{work} is not empty")
+        work = Path(tmp).resolve()
         run_pipeline(work)
         print("\n".join(digest(work)))
 
