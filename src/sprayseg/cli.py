@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import geometry, linker, spraysim, svgplot, synthdata
-from .kvio import read_keyvalues, write_keyvalues
+from .kvio import format_rows, read_keyvalues, write_file, write_keyvalues
 from .learner import (
     MODES,
     ModelConfig,
@@ -106,22 +106,17 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     return cfg
 
 
-def config_dict(cfg: ExperimentConfig) -> dict:
+def config_dict(cfg: ExperimentConfig) -> dict[str, str]:
+    """Each config value as the text a config file would give it."""
     out = {}
     for f in fields(cfg):
         v = getattr(cfg, f.name)
-        out[f.name] = ",".join(str(x) for x in v) if isinstance(v, tuple) else v
+        out[f.name] = ",".join(str(x) for x in v) if isinstance(v, tuple) else str(v)
     return out
 
 
 def _sample_seed(seed: int, cat_index: int, index: int, stream: int) -> int:
     return int(np.random.SeedSequence((seed, cat_index, index, stream)).generate_state(1)[0])
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +157,14 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> Path:
     for sid, (rec, cloud) in records.items():
         synthdata.save_sample(rec, samples_dir / sid)
         geometry.save_point_cloud(cloud, samples_dir / sid / "cloud.txt")
-    (out_dir / "split.txt").write_text("\n".join(sorted(split_lines)) + "\n")
+    write_file(out_dir / "split.txt", "\n".join(sorted(split_lines)) + "\n")
     write_keyvalues(out_dir / "meta.txt", {
         "categories": ",".join(cfg.categories),
         "count": cfg.count,
         "budget": cfg.budget,
         "cloud_points": cfg.cloud_points,
         "seed": cfg.seed,
-        "scale_factor": _fmt(scale),
+        "scale_factor": scale,
     })
     write_keyvalues(out_dir / "config.txt", config_dict(cfg))
     return out_dir
@@ -210,25 +205,20 @@ def load_dataset_sample(dataset_dir, sid: str):
     return mesh, cloud, strokes
 
 
-def _multipath_shape(dataset_dir, ids, budget) -> tuple[int, int]:
-    counts, lengths = set(), []
-    for sid in ids:
-        _, _, strokes = load_dataset_sample(dataset_dir, sid)
-        counts.add(len(strokes))
-        lengths.append(min(len(s) for s in strokes))
+def _multipath_shape(train_strokes, budget) -> tuple[int, int]:
+    counts = {len(strokes) for strokes in train_strokes}
     if len(counts) != 1:
         raise CliError("multipath_regression needs a uniform stroke count per sample")
     n_strokes = counts.pop()
-    return n_strokes, min(budget // n_strokes, min(lengths))
+    return n_strokes, min(budget // n_strokes, *(len(s) for ss in train_strokes for s in ss))
 
 
-def build_model_config(cfg: ExperimentConfig, dataset_dir, train_ids,
-                       meta: dict) -> ModelConfig:
+def build_model_config(cfg: ExperimentConfig, train_strokes, meta: dict) -> ModelConfig:
     if cfg.mode == "pointwise":
         lam, overlap = 1, 0
         slots = synthdata.output_slot_count(meta["budget"], lam, overlap)
     elif cfg.mode == "multipath_regression":
-        slots, lam = _multipath_shape(dataset_dir, train_ids, meta["budget"])
+        slots, lam = _multipath_shape(train_strokes, meta["budget"])
         overlap = 0
     else:
         lam, overlap = cfg.lam, cfg.overlap
@@ -238,11 +228,10 @@ def build_model_config(cfg: ExperimentConfig, dataset_dir, train_ids,
                        head_hidden=cfg.head_hidden, mode=cfg.mode)
 
 
-def build_training_samples(cfg: ExperimentConfig, dataset_dir, ids,
+def build_training_samples(cfg: ExperimentConfig, clouds_and_strokes,
                            model_cfg: ModelConfig, meta: dict) -> list[TrainingSample]:
     samples = []
-    for sid in ids:
-        _, cloud, strokes = load_dataset_sample(dataset_dir, sid)
+    for cloud, strokes in clouds_and_strokes:
         ncloud, nstrokes, _ = geometry.normalize(cloud, strokes, meta["scale_factor"])
         if model_cfg.mode == "multipath_regression":
             target = np.stack([
@@ -277,10 +266,11 @@ def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
     train_ids, _ = read_split(dataset_dir)
     train_ids = _select_fraction(train_ids, cfg.fraction, cfg.seed)
     meta = read_meta(dataset_dir)
+    loaded = [load_dataset_sample(dataset_dir, sid)[1:] for sid in train_ids]
     require_coverage = model_cfg is None
     if require_coverage:
-        model_cfg = build_model_config(cfg, dataset_dir, train_ids, meta)
-    samples = build_training_samples(cfg, dataset_dir, train_ids, model_cfg, meta)
+        model_cfg = build_model_config(cfg, [strokes for _, strokes in loaded], meta)
+    samples = build_training_samples(cfg, loaded, model_cfg, meta)
     initial = None
     if pretrained is not None:
         initial = load_checkpoint(pretrained)
@@ -290,9 +280,8 @@ def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
     params, history = train(samples, model_cfg, cfg.train_config(),
                             initial=initial, require_coverage=require_coverage)
     save_checkpoint(out_dir / "checkpoint.ckpt", params)
-    rows = ["epoch,total,y2s,b2e"]
-    rows += [f"{i},{_fmt(t)},{_fmt(y)},{_fmt(b)}" for i, (t, y, b) in enumerate(history)]
-    (out_dir / "loss.csv").write_text("\n".join(rows) + "\n")
+    write_file(out_dir / "loss.csv", "epoch,total,y2s,b2e\n" + format_rows(
+        [(i, *losses) for i, losses in enumerate(history.tolist())], "dfff", sep=","))
     info = dict(config_dict(cfg))
     info["train_ids"] = ",".join(train_ids)
     info["pretrained"] = "" if pretrained is None else str(pretrained)
@@ -352,6 +341,8 @@ class MetricsRow:
     strokes: int
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.pcd):
+            raise ValueError(f"{self.sample_id}: non-finite pcd {self.pcd}")
         if not 0.0 <= self.pc <= 100.0:
             raise ValueError("pc must lie in [0, 100]")
 
@@ -411,11 +402,9 @@ def _means(rows: list[MetricsRow]) -> list[float]:
 
 
 def _write_metrics(rows: list[MetricsRow], path) -> None:
-    lines = ["sample_id,pcd_x1e4,pc,segments,strokes"]
-    for r in rows:
-        lines.append(f"{r.sample_id},{_fmt(r.pcd)},{_fmt(r.pc)},{r.segments},{r.strokes}")
-    lines.append(",".join(["mean", *map(_fmt, _means(rows))]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, "sample_id,pcd_x1e4,pc,segments,strokes\n"
+               + format_rows([astuple(r) for r in rows], "sffdd", sep=",")
+               + format_rows([("mean", *_means(rows))], "sffff", sep=","))
 
 
 def cmd_evaluate(cfg: ExperimentConfig, dataset_dir, out_dir, checkpoint=None,
@@ -458,8 +447,8 @@ def cmd_sweep(cfg: ExperimentConfig, dataset_dir, out_dir, param: str,
         # fixed prediction budget: slot count pinned at the overlap=1 value so
         # PCD comparisons happen at a fixed number of predicted poses; larger
         # overlaps then cut more target segments than there are slots
-        model_cfg = build_model_config(replace(cfg, overlap=1, mode="segments"),
-                                       dataset_dir, [], read_meta(dataset_dir))
+        model_cfg = build_model_config(replace(cfg, overlap=1, mode="segments"), [],
+                                       read_meta(dataset_dir))
     gt_fields: dict = {}
     results = []
     for v in values:
@@ -475,9 +464,8 @@ def cmd_sweep(cfg: ExperimentConfig, dataset_dir, out_dir, param: str,
         rows = cmd_evaluate(run_cfg, dataset_dir, run_dir, checkpoint=ckpt,
                             concat=param == "tau", gt_fields=gt_fields)
         results.append([float(v), *_means(rows)])
-    lines = [f"{param},pcd_x1e4,pc,segments,strokes"]
-    lines += [",".join(map(_fmt, r)) for r in results]
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    write_file(out_dir / "sweep.csv", f"{param},pcd_x1e4,pc,segments,strokes\n"
+               + format_rows(results, "fffff", sep=","))
     xs, pcds, pcs = ([r[i] for r in results] for i in range(3))
     svgplot.line_plot(out_dir / "sweep.svg", xs, {"PCD (x1e4)": pcds, "PC (%)": pcs},
                       xlabel=param, ylabel="metric", title=f"{param} sweep")

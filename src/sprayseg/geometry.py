@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kvio import load_rows, save_rows
+from .kvio import format_rows, load_rows, save_rows, write_file
 
 # Faces below this area are treated as degenerate and dropped at load time.
 DEGENERATE_AREA = 1e-12
@@ -15,6 +15,9 @@ DEGENERATE_AREA = 1e-12
 _OVERSAMPLE = 4
 # Allowed deviation of a pose orientation's norm from 1.
 _UNIT_TOL = 1e-6
+# Offsets of the 27 cells around a grid cell: the cell size is the thinning radius,
+# so every point closer than it lies in one of them.
+_NEIGHBOUR_CELLS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
 
 
 class MeshError(ValueError):
@@ -131,9 +134,8 @@ def save_mesh(mesh: TriMesh, path, vertex_scalars: np.ndarray | None = None) -> 
         if vertex_scalars.shape != (len(verts),):
             raise ValueError("vertex_scalars length must match vertex count")
         verts = np.column_stack([verts, vertex_scalars])
-    with open(path, "w") as fh:
-        np.savetxt(fh, verts, fmt="v" + " %.17g" * verts.shape[1])
-        np.savetxt(fh, mesh.faces + 1, fmt="f %d %d %d")
+    write_file(path, format_rows(verts, "f" * verts.shape[1], prefix="v ")
+               + format_rows(mesh.faces + 1, "ddd", prefix="f "))
 
 
 def save_point_cloud(points: np.ndarray, path) -> None:
@@ -147,32 +149,19 @@ def load_point_cloud(path) -> np.ndarray:
 
 def _greedy_thin(points: np.ndarray, radius: float, n_target: int) -> list[int]:
     """Dart-throwing pass: accept points at least `radius` apart, in candidate order."""
-    inv = 1.0 / radius
     r2 = radius * radius
+    cells = np.floor(points * (1.0 / radius)).astype(np.int64).tolist()
     grid: dict[tuple[int, int, int], list[int]] = {}
     accepted: list[int] = []
-    for i, p in enumerate(points):
-        cell = (int(np.floor(p[0] * inv)), int(np.floor(p[1] * inv)), int(np.floor(p[2] * inv)))
-        ok = True
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for j in grid.get((cell[0] + dx, cell[1] + dy, cell[2] + dz), ()):
-                        d = points[j] - p
-                        if d @ d < r2:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            accepted.append(i)
-            grid.setdefault(cell, []).append(i)
-            if len(accepted) >= n_target:
-                break
+    for i, (p, (cx, cy, cz)) in enumerate(zip(points, cells)):
+        if any((d := points[j] - p) @ d < r2
+               for dx, dy, dz in _NEIGHBOUR_CELLS
+               for j in grid.get((cx + dx, cy + dy, cz + dz), ())):
+            continue
+        accepted.append(i)
+        grid.setdefault((cx, cy, cz), []).append(i)
+        if len(accepted) >= n_target:
+            break
     return accepted
 
 

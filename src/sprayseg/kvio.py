@@ -1,11 +1,37 @@
-"""Flat text files: "key = value" files with '#' comments, and numeric rows."""
+"""Flat text files ("key = value" with '#' comments, numeric rows); every file is written here."""
 
 from __future__ import annotations
 
+import os
 import warnings
 from pathlib import Path
 
 import numpy as np
+
+_FORMATS = {"f": "%.17g", "d": "%d", "s": "%s"}  # "%.17g" reads back bit-exact
+
+
+def write_file(path, data: str | bytes) -> None:
+    """Write `path` whole, through a temporary file beside it renamed over it: a failing
+    or killed process leaves the old file or the new one (no fsync, so not a power loss)."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def format_rows(rows, kinds: str, sep: str = " ", prefix: str = "") -> str:
+    """One line per row of `rows` (an array or equal-length tuples); `kinds[i]` says
+    whether column i is a float ("f"), an integer ("d") or a string ("s")."""
+    line = prefix + sep.join(_FORMATS[k] for k in kinds) + "\n"
+    values = (rows.ravel().tolist() if isinstance(rows, np.ndarray)
+              else [v for row in rows for v in row])
+    # one %-format over all values: formatting row by row is about 2x slower
+    return (line * len(rows)) % tuple(values)
 
 
 def read_keyvalues(path) -> dict[str, str]:
@@ -22,16 +48,16 @@ def read_keyvalues(path) -> dict[str, str]:
 
 
 def write_keyvalues(path, values: dict) -> None:
-    lines = [f"{k} = {v}" for k, v in values.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One "key = value" line per entry: floats as "%.17g", anything else as str()."""
+    lines = [f"{k} = {_FORMATS['f'] % v if isinstance(v, float) else v}"
+             for k, v in values.items()]
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def save_rows(path, rows) -> None:
     """One line per row (one value per line for a 1-D array), floats as "%.17g"."""
     rows = np.asarray(rows, dtype=np.float64)
-    # one %-format over all values: np.savetxt formats each row apart, which is slower
-    line = " ".join(["%.17g"] * (rows.shape[1] if rows.ndim == 2 else 1)) + "\n"
-    Path(path).write_text((line * len(rows)) % tuple(rows.ravel().tolist()))
+    write_file(path, format_rows(rows, "f" * (rows.shape[1] if rows.ndim == 2 else 1)))
 
 
 def load_rows(path, width: int) -> np.ndarray:

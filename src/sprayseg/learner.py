@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .kvio import write_file
 from .objective import LossWeights, total_loss
 
 MODES = ("segments", "pointwise", "multipath_regression")
@@ -351,10 +352,8 @@ def train(samples: list[TrainingSample], model_config: ModelConfig,
 def save_checkpoint(path, params: ModelParams) -> None:
     """Versioned binary checkpoint: magic line, JSON config, raw little-endian weights."""
     header = json.dumps({"config": asdict(params.config)}, sort_keys=True)
-    with open(path, "wb") as f:
-        f.write(_CHECKPOINT_MAGIC + b"\n")
-        f.write(header.encode("utf-8") + b"\n")
-        f.write(params.flat.astype("<f8").tobytes())
+    write_file(path, b"\n".join([_CHECKPOINT_MAGIC, header.encode("utf-8"),
+                                 params.flat.astype("<f8").tobytes()]))
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -75,9 +75,8 @@ def build_link_graph(segments: np.ndarray, config: LinkConfig) -> LinkGraph:
         if np.isfinite(dist[k, j]) and dist[k, j] < config.tau:
             heapq.heappush(heap, (float(dist[k, j]), k, j))
     while heap:
+        # each source has at most one heap entry, so a popped k is still unlinked
         d, k, j = heapq.heappop(heap)
-        if succ[k] != -1:
-            continue
         if pred[j] != -1:
             # target taken: re-evaluate over remaining free targets
             row = np.where(pred == -1, dist[k], np.inf)

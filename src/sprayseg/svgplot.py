@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from pathlib import Path
+from .kvio import write_file
 
 _COLORS = ("#1f6fb2", "#c44e52", "#55a868", "#8172b2")
 
@@ -71,4 +71,4 @@ def line_plot(path, xs, series: dict[str, list[float]], xlabel: str, ylabel: str
         out.append(f'<text x="{ml + pw - 100}" y="{ly + 4}" font-family="sans-serif" '
                    f'font-size="12">{name}</text>')
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n")
+    write_file(path, "\n".join(out) + "\n")

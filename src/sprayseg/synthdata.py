@@ -338,11 +338,11 @@ def generate_object(category: str, seed: int, face_grid: int = 6) -> SampleRecor
 
 
 def downsample_strokes(strokes: list[np.ndarray], budget: int) -> list[np.ndarray]:
-    """Reduce total pose count to ~budget, proportionally per stroke.
+    """Reduce the total pose count to exactly `budget`, proportionally per stroke.
 
     Per-stroke counts are proportional to the original lengths (largest-remainder
-    rounding), each stroke keeps at least 2 poses including both endpoints, and
-    the combined count never exceeds the budget plus the per-stroke rounding slack.
+    rounding), and each stroke keeps at least 2 poses including both endpoints.
+    Strokes whose total is within the budget are returned as they are.
     """
     counts = np.array([len(s) for s in strokes])
     n_strokes = len(strokes)
@@ -354,23 +354,18 @@ def downsample_strokes(strokes: list[np.ndarray], budget: int) -> list[np.ndarra
     quota = budget * counts / total
     m = np.maximum(np.floor(quota).astype(int), 2)
     leftover = budget - m.sum()
+    # a shortfall is below the count of strokes not raised to 2 (each has m < count), so one
+    # pass meets it; a surplus leaves a stroke above 2 poses since budget >= 2 * n_strokes
     if leftover > 0:
         order = np.argsort(-(quota - np.floor(quota)), kind="stable")
-        while leftover > 0:
-            progressed = False
-            for idx in order:
-                if leftover == 0:
-                    break
-                if m[idx] < counts[idx]:
-                    m[idx] += 1
-                    leftover -= 1
-                    progressed = True
-            if not progressed:
+        for idx in order:
+            if leftover == 0:
                 break
+            if m[idx] < counts[idx]:
+                m[idx] += 1
+                leftover -= 1
     while leftover < 0:
         idx = int(np.argmax(m))
-        if m[idx] <= 2:
-            break
         m[idx] -= 1
         leftover += 1
     out = []

@@ -1,3 +1,7 @@
+import builtins
+import errno
+import io
+import os
 import shutil
 
 import numpy as np
@@ -46,6 +50,27 @@ def tiny_checkpoint(tiny_dataset, tmp_path_factory):
 def tree_bytes(root):
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class HalfWriter(io.FileIO):
+    """A file that stores half of what it is given, then fails as a full disk does."""
+
+    def write(self, data):
+        super().write(bytes(data)[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_part_way(monkeypatch, failure):
+    """Make every file write fail after half its bytes, or every rename fail."""
+    if failure == "write":
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open", lambda file, mode="r", *args, **kwargs:
+                            HalfWriter(file, "w") if "w" in mode
+                            else real_open(file, mode, *args, **kwargs))
+    else:
+        def fail(*args):
+            raise OSError(errno.EIO, "rename failed")
+        monkeypatch.setattr(os, "replace", fail)
 
 
 class TestConfig:
@@ -205,10 +230,62 @@ class TestEvaluate:
         cli.cmd_predict(cfg, ckpt, data, tmp_path / "pred", ids=train_ids)
         assert len(calls) == 2   # one per command, not one per sample
 
+    @pytest.mark.parametrize("pcd", [float("nan"), float("inf")])
+    def test_non_finite_pcd_rejected(self, pcd):
+        with pytest.raises(ValueError, match="pcd"):
+            cli.MetricsRow(sample_id="s", pcd=pcd, pc=50.0, segments=1, strokes=1)
+
     def test_needs_checkpoint_or_flag(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset
         with pytest.raises(cli.CliError):
             cli.cmd_evaluate(cfg, data, tmp_path / "no")
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("failure", ["write", "replace"])
+    def test_failed_write_keeps_previous_outputs(self, tiny_checkpoint, tmp_path,
+                                                 monkeypatch, failure):
+        cfg, data, ckpt = tiny_checkpoint
+        out = tmp_path / "out"
+        cli.cmd_train(load_config(None, tiny_overrides(epochs=1)), data, out / "run")
+        cli.cmd_evaluate(cfg, data, out / "eval", ground_truth=True)
+        before = tree_bytes(out)
+        assert {"run/checkpoint.ckpt", "eval/metrics.csv"} <= before.keys()
+        with monkeypatch.context() as m:
+            fail_part_way(m, failure)
+            with pytest.raises(OSError):
+                cli.cmd_train(load_config(None, tiny_overrides(epochs=2)), data, out / "run")
+            assert tree_bytes(out) == before
+            with pytest.raises(OSError):
+                cli.cmd_evaluate(cfg, data, out / "eval", checkpoint=ckpt)
+        assert tree_bytes(out) == before   # same names too: no temporary file is left
+
+
+class TestMultipath:
+    def test_train_and_evaluate(self, tiny_dataset, tmp_path):
+        _, data = tiny_dataset
+        conf = tmp_path / "conf.txt"
+        overrides = tiny_overrides(epochs=2)
+        conf.write_text("\n".join(f"{k} = {v}" for k, v in overrides.items()) + "\n")
+        run, ev = tmp_path / "run", tmp_path / "eval"
+        assert cli.main(["train", "--config", str(conf), "--dataset", str(data),
+                         "--mode", "multipath_regression", "--out", str(run)]) == 0
+        assert cli.load_checkpoint(run / "checkpoint.ckpt").config.slots == 6
+        assert cli.main(["evaluate", "--config", str(conf), "--dataset", str(data),
+                         "--checkpoint", str(run / "checkpoint.ckpt"), "--out", str(ev)]) == 0
+        lines = (ev / "metrics.csv").read_text().splitlines()
+        table = np.array([line.split(",")[1:] for line in lines[1:]], dtype=float)
+        assert len(table) == len(cli.read_split(data)[1]) + 1
+        assert np.isfinite(table).all()
+
+    def test_mixed_stroke_counts_rejected(self, tmp_path, capsys):
+        cfg = load_config(None, tiny_overrides(categories="cuboids,windows", count=5,
+                                               face_grid=3))
+        data = cli.cmd_generate(cfg, tmp_path / "data")
+        argv = ["train", "--dataset", str(data), "--mode", "multipath_regression",
+                "--epochs", "1", "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 1
+        assert "uniform stroke count" in capsys.readouterr().err
 
 
 class TestSweep:

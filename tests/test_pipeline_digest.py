@@ -44,4 +44,6 @@ def test_digest_covers_every_command_and_repeats(tmp_path, monkeypatch):
     tops = {p.split("/", 1)[0] for p in paths}
     assert tops == {"config.txt", "data", "run", "pred", "linked", "thickness.txt",
                     "colored_mesh.txt", "eval", "eval_concat", "eval_gt",
-                    "eval_gt_concat", "sweep"}
+                    "eval_gt_concat", "sweep", "sweep_lambda", "sweep_overlap",
+                    "run_pointwise", "run_warm", "data_cuboids", "run_multipath",
+                    "eval_multipath"}

@@ -105,6 +105,23 @@ class TestDownsample:
         with pytest.raises(ValueError):
             downsample_strokes([self.make_stroke(10)] * 3, 5)
 
+    def test_counts_sum_exactly_to_budget(self):
+        rng = np.random.default_rng(0)
+        surplus_cases = 0   # flooring then raising short strokes to 2 overshot the budget
+        for _ in range(400):
+            lengths = rng.integers(1, 80, size=rng.integers(1, 12))
+            budget = int(rng.integers(2 * len(lengths), lengths.sum() + 3))
+            out = downsample_strokes([self.make_stroke(n) for n in lengths], budget)
+            counts = [len(s) for s in out]
+            if lengths.sum() <= budget:
+                assert counts == lengths.tolist()
+                continue
+            assert sum(counts) == budget
+            assert min(counts) >= 2
+            quota = budget * lengths / lengths.sum()
+            surplus_cases += np.maximum(np.floor(quota), 2).sum() > budget
+        assert surplus_cases > 0
+
 
 class TestDecompose:
     def test_sliding_window_example(self):

@@ -4,11 +4,13 @@ Usage: python tools/pipeline_digest.py [--tree DIR] > digest.txt
 
 The pipeline is 4 categories x 5 objects at face_grid = 3, budget = 160 and
 5 epochs: generate, train, predict, concat, simulate --colored, evaluate with
-the checkpoint and with --ground-truth (each with and without --concat), and a
-tau sweep. sprayseg is imported from DIR/src (default: the tree holding this
-script), and the commands run in a temporary directory with relative paths,
-so the output is one "sha256  path" line per file and two trees compare with a
-plain diff:
+the checkpoint and with --ground-truth (each with and without --concat), tau,
+lambda and overlap sweeps, a pointwise model, a warm start on half the train
+split, and a multipath_regression model trained and evaluated on a
+cuboids-only dataset. sprayseg is imported from DIR/src (default: the tree
+holding this script), and the commands run in a temporary directory with
+relative paths, so the output is one "sha256  path" line per file and two
+trees compare with a plain diff:
 
     python tools/pipeline_digest.py --tree old_checkout > old.txt
     python tools/pipeline_digest.py > new.txt
@@ -46,6 +48,18 @@ COMMANDS = [
     ["evaluate", "--dataset", "data", "--ground-truth", "--out", "eval_gt"],
     ["evaluate", "--dataset", "data", "--ground-truth", "--concat", "--out", "eval_gt_concat"],
     ["sweep", "--dataset", "data", "--param", "tau", "--values", "0.05,0.3", "--out", "sweep"],
+    ["sweep", "--dataset", "data", "--param", "lambda", "--values", "1,3", "--out",
+     "sweep_lambda"],
+    ["sweep", "--dataset", "data", "--param", "overlap", "--values", "0,2", "--out",
+     "sweep_overlap"],
+    ["train", "--dataset", "data", "--mode", "pointwise", "--out", "run_pointwise"],
+    ["train", "--dataset", "data", "--fraction", "0.5", "--pretrained", "run/checkpoint.ckpt",
+     "--out", "run_warm"],
+    ["generate", "--categories", "cuboids", "--out", "data_cuboids"],
+    ["train", "--dataset", "data_cuboids", "--mode", "multipath_regression",
+     "--out", "run_multipath"],
+    ["evaluate", "--dataset", "data_cuboids", "--checkpoint", "run_multipath/checkpoint.ckpt",
+     "--out", "eval_multipath"],
 ]
 
 
