@@ -28,4 +28,4 @@ cloud = sample_point_cloud(record.mesh, 512, seed=0)
 print("\ncloud:", cloud.shape, "mean |xyz|:", np.abs(cloud).mean().round(4))
 
 save_sample(record, "out_demo01_cuboid")
-print("sample written to out_demo01_cuboid/ (mesh.txt, stroke_*.txt, meta.txt)")
+print("sample written to out_demo01_cuboid/ (mesh.txt, strokes.txt, meta.txt)")

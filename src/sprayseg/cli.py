@@ -127,7 +127,6 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> Path:
     """Write a dataset directory: samples, split manifest, metadata."""
     out_dir = Path(out_dir)
     samples_dir = out_dir / "samples"
-    samples_dir.mkdir(parents=True, exist_ok=True)
     split_lines = []
     train_ids = []
     records = {}
@@ -201,7 +200,7 @@ def load_dataset_sample(dataset_dir, sid: str):
         raise CliError(f"sample {sid!r} not found under {dataset_dir}")
     mesh, _ = geometry.load_mesh(d / "mesh.txt")
     cloud = geometry.load_point_cloud(d / "cloud.txt")
-    strokes = synthdata.load_strokes(d)
+    strokes = synthdata.load_strokes(d / "strokes.txt")
     return mesh, cloud, strokes
 
 
@@ -262,7 +261,6 @@ def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
     than there are slots; otherwise every target must fit the slots.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_ids, _ = read_split(dataset_dir)
     train_ids = _select_fraction(train_ids, cfg.fraction, cfg.seed)
     meta = read_meta(dataset_dir)
@@ -299,7 +297,7 @@ def cmd_predict(cfg: ExperimentConfig, checkpoint, dataset_dir, out_dir, ids=Non
         _, cloud, _ = load_dataset_sample(dataset_dir, sid)
         ncloud, _, tf = geometry.normalize(cloud, [], scale)
         synthdata.save_strokes(geometry.denormalize(predict(params, ncloud), tf),
-                               out_dir / sid, stem="segment")
+                               out_dir / f"{sid}.txt")
     return out_dir
 
 
@@ -309,22 +307,22 @@ def cmd_concat(cfg: ExperimentConfig, pred_dir, dataset_dir, out_dir) -> Path:
     out_dir = Path(out_dir)
     scale = read_meta(dataset_dir)["scale_factor"]
     link_cfg = linker.LinkConfig(tau=cfg.tau, weights=cfg.weights())
-    sample_dirs = sorted(d for d in pred_dir.iterdir() if d.is_dir())
-    if not sample_dirs:
-        raise CliError(f"no prediction directories under {pred_dir}")
-    for d in sample_dirs:
-        _, cloud, _ = load_dataset_sample(dataset_dir, d.name)
-        segments = synthdata.load_strokes(d, stem="segment")
+    paths = sorted(pred_dir.glob("*.txt"))
+    if not paths:
+        raise CliError(f"no prediction files under {pred_dir}")
+    for path in paths:
+        _, cloud, _ = load_dataset_sample(dataset_dir, path.stem)
+        segments = synthdata.load_strokes(path)
         _, nsegments, tf = geometry.normalize(cloud, segments, scale)
         strokes = linker.concatenate(np.stack(nsegments), link_cfg)
-        synthdata.save_strokes(geometry.denormalize(strokes, tf), out_dir / d.name)
+        synthdata.save_strokes(geometry.denormalize(strokes, tf), out_dir / path.name)
     return out_dir
 
 
-def cmd_simulate(cfg: ExperimentConfig, mesh_path, strokes_dir, out_path,
+def cmd_simulate(cfg: ExperimentConfig, mesh_path, strokes_path, out_path,
                  colored=None) -> Path:
     mesh, _ = geometry.load_mesh(mesh_path)
-    strokes = synthdata.load_strokes(strokes_dir)
+    strokes = synthdata.load_strokes(strokes_path)
     field = spraysim.deposit(mesh, strokes, cfg.gun())
     spraysim.save_thickness(field, out_path)
     if colored is not None:
@@ -386,11 +384,10 @@ def evaluate_sample(cfg: ExperimentConfig, dataset_dir, sid: str,
     pc = spraysim.paint_coverage(pred_field, gt_field).pc
     if artifacts_dir is not None:
         d = Path(artifacts_dir) / sid
-        d.mkdir(parents=True, exist_ok=True)
         spraysim.save_thickness(gt_field, d / "gt_thickness.txt")
         spraysim.save_thickness(pred_field, d / "pred_thickness.txt")
         if concat:
-            synthdata.save_strokes(exec_strokes, d / "linked")
+            synthdata.save_strokes(exec_strokes, d / "linked.txt")
     return MetricsRow(sample_id=sid, pcd=float(pcd), pc=float(pc),
                       segments=len(pred), strokes=len(linked))
 
@@ -412,7 +409,6 @@ def cmd_evaluate(cfg: ExperimentConfig, dataset_dir, out_dir, checkpoint=None,
                  gt_fields: dict | None = None) -> list[MetricsRow]:
     """Evaluate the test split; writes metrics.csv plus per-sample artifacts."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if not ground_truth and checkpoint is None:
         raise CliError("evaluate needs --checkpoint or --ground-truth")
     params = None if ground_truth else load_checkpoint(checkpoint)
@@ -439,8 +435,10 @@ def cmd_sweep(cfg: ExperimentConfig, dataset_dir, out_dir, param: str,
         raise CliError("sweep needs a non-empty value list")
     if param != "tau" and not all(float(v).is_integer() for v in values):
         raise CliError(f"{param} values must be integers")
+    names = [f"tau_{v:g}" if param == "tau" else f"{param}_{int(v)}" for v in values]
+    if len(set(names)) < len(names):
+        raise CliError(f"{param} values {values} share run directories {names}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = cmd_train(cfg, dataset_dir, out_dir / "model") if param == "tau" else None
     model_cfg = None
     if param == "overlap":
@@ -451,15 +449,15 @@ def cmd_sweep(cfg: ExperimentConfig, dataset_dir, out_dir, param: str,
                                        read_meta(dataset_dir))
     gt_fields: dict = {}
     results = []
-    for v in values:
+    for v, name in zip(values, names):
+        run_dir = out_dir / name
         if param == "tau":
-            run_cfg, run_dir = replace(cfg, tau=float(v)), out_dir / f"tau_{v:g}"
+            run_cfg = replace(cfg, tau=float(v))
         else:
             v = int(v)
             run_cfg = (replace(cfg, overlap=v) if param == "overlap" else
                        replace(cfg, lam=v, overlap=min(cfg.overlap, v - 1),
                                mode="segments" if v > 1 else "pointwise"))
-            run_dir = out_dir / f"{param}_{v}"
             ckpt = cmd_train(run_cfg, dataset_dir, run_dir / "model", model_cfg=model_cfg)
         rows = cmd_evaluate(run_cfg, dataset_dir, run_dir, checkpoint=ckpt,
                             concat=param == "tau", gt_fields=gt_fields)
@@ -521,7 +519,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="deposit strokes onto a mesh")
     _add_common(p)
     p.add_argument("--mesh", required=True)
-    p.add_argument("--strokes", required=True)
+    p.add_argument("--strokes", required=True, help="stroke file (one pose per line)")
     p.add_argument("--colored", help="also write a color-mapped mesh")
 
     p = sub.add_parser("evaluate", help="metrics over the test split")

@@ -208,18 +208,16 @@ def normalize(cloud: np.ndarray, strokes: list[np.ndarray], scale: float):
     Orientation columns of the strokes are left untouched. Returns the
     transformed cloud, transformed strokes, and the invertible transform.
     """
-    if not (np.isfinite(scale) and scale > 0):
-        raise ValueError("scale must be positive")
     cloud = np.asarray(cloud, dtype=np.float64)
-    centroid = cloud.mean(axis=0)
-    out_cloud = (cloud - centroid) / scale
+    tf = NormalizationTransform(cloud.mean(axis=0), float(scale))
+    out_cloud = (cloud - tf.centroid) / tf.scale
     out_strokes = []
     for s in strokes:
         s = np.asarray(s, dtype=np.float64)
         t = s.copy()
-        t[:, :3] = (s[:, :3] - centroid) / scale
+        t[:, :3] = (s[:, :3] - tf.centroid) / tf.scale
         out_strokes.append(t)
-    return out_cloud, out_strokes, NormalizationTransform(centroid, float(scale))
+    return out_cloud, out_strokes, tf
 
 
 def denormalize(arrays, transform: NormalizationTransform) -> list[np.ndarray]:

@@ -13,8 +13,10 @@ _FORMATS = {"f": "%.17g", "d": "%d", "s": "%s"}  # "%.17g" reads back bit-exact
 
 def write_file(path, data: str | bytes) -> None:
     """Write `path` whole, through a temporary file beside it renamed over it: a failing
-    or killed process leaves the old file or the new one (no fsync, so not a power loss)."""
+    or killed process leaves the old file or the new one (no fsync, so not a power loss).
+    Missing parent directories are made."""
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    tmp.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, "wb") as fh:
             fh.write(data.encode() if isinstance(data, str) else data)

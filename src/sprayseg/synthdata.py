@@ -14,7 +14,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import TriMesh
-from .kvio import load_rows, save_rows, write_keyvalues
+from .kvio import format_rows, load_rows, write_file, write_keyvalues
 
 CATEGORIES = ("cuboids", "windows", "shelves", "containers")
 _CAT_INDEX = {c: i for i, c in enumerate(CATEGORIES)}
@@ -421,26 +421,27 @@ def split_dataset(records: list, seed: int) -> tuple[list, list]:
 # serialization
 
 
-def save_strokes(strokes: list[np.ndarray], dirpath, stem: str = "stroke") -> None:
-    """One file per stroke, lines "px py pz ox oy oz"."""
-    dirpath = Path(dirpath)
-    dirpath.mkdir(parents=True, exist_ok=True)
-    for i, s in enumerate(strokes):
-        save_rows(dirpath / f"{stem}_{i:03d}.txt", s)
+def save_strokes(strokes: list[np.ndarray], path) -> None:
+    """One line per pose, "k px py pz ox oy oz", where k is the index of its stroke."""
+    rows = np.concatenate([np.column_stack([np.full(len(s), k), s])
+                           for k, s in enumerate(strokes)])
+    write_file(path, format_rows(rows, "dffffff"))  # k is a float here; "%d" writes it whole
 
 
-def load_strokes(dirpath, stem: str = "stroke") -> list[np.ndarray]:
-    paths = sorted(Path(dirpath).glob(f"{stem}_*.txt"))
-    if not paths:
-        raise FileNotFoundError(f"no {stem}_*.txt files under {dirpath}")
-    return [geometry.check_poses(load_rows(p, 6), str(p)) for p in paths]
+def load_strokes(path) -> list[np.ndarray]:
+    """The strokes of a `save_strokes` file, in order; errors name the file."""
+    rows = load_rows(path, 7)
+    steps = np.diff(rows[:, 0])
+    if rows[0, 0] != 0 or not np.isin(steps, (0, 1)).all():
+        raise ValueError(f"{path}: stroke indices must start at 0 and step by 0 or 1")
+    poses = geometry.check_poses(np.ascontiguousarray(rows[:, 1:]), str(path))
+    return np.split(poses, np.flatnonzero(steps) + 1)
 
 
 def save_sample(record: SampleRecord, dirpath) -> None:
-    """Serialize a sample as a directory: mesh file, stroke files, metadata."""
+    """Serialize a sample as a directory: mesh file, stroke file, metadata."""
     dirpath = Path(dirpath)
-    dirpath.mkdir(parents=True, exist_ok=True)
     geometry.save_mesh(record.mesh, dirpath / "mesh.txt")
-    save_strokes(record.strokes, dirpath)
+    save_strokes(record.strokes, dirpath / "strokes.txt")
     write_keyvalues(dirpath / "meta.txt", {"category": record.category, "seed": record.seed})
 

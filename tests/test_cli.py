@@ -103,7 +103,7 @@ class TestGenerate:
             d = out / "samples" / sid
             assert (d / "mesh.txt").exists()
             assert (d / "cloud.txt").exists()
-            assert sorted(d.glob("stroke_*.txt"))
+            assert (d / "strokes.txt").exists()
 
     def test_five_sample_split(self, tmp_path):
         cfg = load_config(None, tiny_overrides(count=5))
@@ -150,12 +150,12 @@ class TestTrainPredict:
         cfg, data, ckpt = tiny_checkpoint
         pred_dir = cli.cmd_predict(cfg, ckpt, data, tmp_path / "pred")
         _, test_ids = cli.read_split(data)
-        seg_files = sorted((pred_dir / test_ids[0]).glob("segment_*.txt"))
+        segments = synthdata.load_strokes(pred_dir / f"{test_ids[0]}.txt")
         meta = cli.read_meta(data)
         slots = synthdata.output_slot_count(meta["budget"], cfg.lam, cfg.overlap)
-        assert len(seg_files) == slots
+        assert len(segments) == slots
         linked_dir = cli.cmd_concat(cfg, pred_dir, data, tmp_path / "linked")
-        strokes = synthdata.load_strokes(linked_dir / test_ids[0])
+        strokes = synthdata.load_strokes(linked_dir / f"{test_ids[0]}.txt")
         assert sum(len(s) for s in strokes) <= slots * cfg.lam
 
     def test_pretrained_shape_mismatch(self, tiny_checkpoint, tmp_path):
@@ -337,6 +337,20 @@ class TestSweep:
             slots = synthdata.output_slot_count(cli.read_meta(data)["budget"], cfg.lam, 1)
             assert table[:, 3].tolist() == [slots] * len(values)
 
+    @pytest.mark.parametrize("param,values", [("tau", "0.1,0.1"),
+                                              ("tau", "0.1234567,0.1234568"),
+                                              ("lambda", "1,1")])
+    def test_values_sharing_a_run_directory_rejected(self, tiny_dataset, tmp_path, capsys,
+                                                     param, values):
+        _, data = tiny_dataset
+        conf = tmp_path / "conf.txt"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in tiny_overrides(epochs=1).items()))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(conf), "--dataset", str(data),
+                         "--param", param, "--values", values, "--out", str(out)]) == 1
+        assert str([float(v) for v in values.split(",")]) in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("param", ["lambda", "overlap"])
     def test_non_integer_values_rejected(self, tiny_dataset, tmp_path, param):
         cfg, data = tiny_dataset
@@ -382,12 +396,12 @@ class TestMainEntry:
         cfg, data = tiny_dataset
         train_ids, _ = cli.read_split(data)
         sample = data / "samples" / train_ids[0]
-        strokes = synthdata.load_strokes(sample)
+        strokes = synthdata.load_strokes(sample / "strokes.txt")
         strokes[0][1, 0] = np.nan
-        synthdata.save_strokes(strokes, tmp_path / "strokes")
+        synthdata.save_strokes(strokes, tmp_path / "strokes.txt")
         out = tmp_path / "thick.txt"
         code = cli.main(["simulate", "--mesh", str(sample / "mesh.txt"),
-                         "--strokes", str(tmp_path / "strokes"), "--out", str(out)])
+                         "--strokes", str(tmp_path / "strokes.txt"), "--out", str(out)])
         assert code == 1
         assert not out.exists()
 
@@ -470,9 +484,9 @@ class TestMainEntry:
         copy = tmp_path / "dataset"
         shutil.copytree(data, copy)
         train_ids, _ = cli.read_split(copy)
-        stroke = sorted((copy / "samples" / train_ids[0]).glob("stroke_*.txt"))[0]
+        stroke = copy / "samples" / train_ids[0] / "strokes.txt"
         lines = stroke.read_text().splitlines()
-        lines[1] = "0 0 0.5 0 0 2"
+        lines[1] = "0 0 0 0.5 0 0 2"
         stroke.write_text("\n".join(lines) + "\n")
         argv = ["train", "--dataset", str(copy), "--epochs", "1", "--out", str(tmp_path / "r")]
         assert cli.main(argv) == 1
@@ -485,7 +499,7 @@ class TestMainEntry:
         out = tmp_path / "thick.txt"
         colored = tmp_path / "colored.txt"
         code = cli.main(["simulate", "--mesh", str(sample / "mesh.txt"),
-                         "--strokes", str(sample), "--out", str(out),
+                         "--strokes", str(sample / "strokes.txt"), "--out", str(out),
                          "--colored", str(colored)])
         assert code == 0
         field = spraysim.load_thickness(out)

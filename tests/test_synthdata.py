@@ -14,6 +14,12 @@ from sprayseg.synthdata import (
 
 from conftest import MALFORMED, malformed_rows
 
+POSE = "0 0 0 1 0 0 -1"  # stroke 0, one pose
+# stroke index columns that do not start at 0 or step by other than 0 or 1
+BAD_INDEX = {f"index_{name}": "".join(f"{k} 0 0 {i} 0 0 -1\n" for i, k in enumerate(ks.split()))
+             for name, ks in [("from_1", "1 1 2"), ("skips", "0 0 2"), ("decreases", "0 1 0"),
+                              ("not_integer", "0 0.5 1")]}
+
 
 def record_equal(a, b):
     return (np.array_equal(a.mesh.vertices, b.mesh.vertices)
@@ -215,23 +221,33 @@ class TestSerialization:
         synthdata.save_sample(rec, tmp_path / "s0")
         mesh, _ = geometry.load_mesh(tmp_path / "s0" / "mesh.txt")
         meta = read_keyvalues(tmp_path / "s0" / "meta.txt")
-        again = synthdata.SampleRecord(mesh=mesh, strokes=synthdata.load_strokes(tmp_path / "s0"),
+        strokes = synthdata.load_strokes(tmp_path / "s0" / "strokes.txt")
+        again = synthdata.SampleRecord(mesh=mesh, strokes=strokes,
                                        category=meta["category"], seed=int(meta["seed"]))
         assert record_equal(rec, again)
 
-    def test_load_strokes_rejects_non_finite_naming_the_file(self, tmp_path):
-        synthdata.save_strokes([np.array([[0.0, 0, 1, 0, 0, -1]] * 3)], tmp_path)
-        path = sorted(tmp_path.glob("stroke_*.txt"))[0]
-        path.write_text(path.read_text() + "0 0 inf 0 0 -1\n")
-        with pytest.raises(ValueError, match=path.name):
-            synthdata.load_strokes(tmp_path)
+    def test_strokes_roundtrip_in_order(self, tmp_path):
+        # more than 1000 sets, so order must not depend on how wide an index is written
+        strokes = [np.array([[k, 0, 1, 0, 0, -1]] * (1 + k % 3), dtype=np.float64)
+                   for k in range(1001)]
+        synthdata.save_strokes(strokes, tmp_path / "strokes.txt")
+        again = synthdata.load_strokes(tmp_path / "strokes.txt")
+        assert len(again) == len(strokes)
+        assert all(np.array_equal(a, b) for a, b in zip(again, strokes))
 
-    @pytest.mark.parametrize("case", MALFORMED)
-    def test_load_strokes_rejects_malformed_naming_the_file(self, tmp_path, case):
-        path = tmp_path / "stroke_000.txt"
-        path.write_text(malformed_rows("0 0 1 0 0 -1")[case])
+    def test_load_strokes_rejects_non_finite_naming_the_file(self, tmp_path):
+        path = tmp_path / "strokes.txt"
+        synthdata.save_strokes([np.array([[0.0, 0, 1, 0, 0, -1]] * 3)], path)
+        path.write_text(path.read_text() + "0 0 0 inf 0 0 -1\n")
         with pytest.raises(ValueError, match=path.name):
-            synthdata.load_strokes(tmp_path)
+            synthdata.load_strokes(path)
+
+    @pytest.mark.parametrize("case", MALFORMED + tuple(BAD_INDEX))
+    def test_load_strokes_rejects_malformed_naming_the_file(self, tmp_path, case):
+        path = tmp_path / "strokes.txt"
+        path.write_text({**malformed_rows(POSE), **BAD_INDEX}[case])
+        with pytest.raises(ValueError, match=path.name):
+            synthdata.load_strokes(path)
 
     def test_segment_set_invariants(self):
         with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ COMMANDS = [
     ["train", "--dataset", "data", "--out", "run"],
     ["predict", "--dataset", "data", "--checkpoint", "run/checkpoint.ckpt", "--out", "pred"],
     ["concat", "--dataset", "data", "--pred", "pred", "--out", "linked"],
-    ["simulate", "--mesh", "data/samples/{sid}/mesh.txt", "--strokes", "linked/{sid}",
+    ["simulate", "--mesh", "data/samples/{sid}/mesh.txt", "--strokes", "linked/{sid}.txt",
      "--out", "thickness.txt", "--colored", "colored_mesh.txt"],
     ["evaluate", "--dataset", "data", "--checkpoint", "run/checkpoint.ckpt", "--out", "eval"],
     ["evaluate", "--dataset", "data", "--checkpoint", "run/checkpoint.ckpt", "--concat",
