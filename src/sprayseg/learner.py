@@ -23,6 +23,7 @@ _CHECKPOINT_MAGIC = b"SPRAYSEG-CKPT v1"
 _BETA1 = 0.9
 _BETA2 = 0.999
 _ADAM_EPS = 1e-8
+_ADAM_CHUNK = 1 << 15   # elements per Adam chunk: its scratch buffers stay in cache
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,15 @@ def _mlp_forward(chain, x: np.ndarray):
     for i, (w, b) in enumerate(chain):
         z = h @ w
         z += b
+        if i != last:
+            np.maximum(z, 0.0, out=z)   # z > 0 marks the same units after ReLU
         caches.append((h, z))
-        h = z if i == last else np.maximum(z, 0.0)
+        h = z
     return h, caches
 
 
 def _mlp_backward(chain, caches, grad_views, g_out: np.ndarray) -> np.ndarray:
-    """Accumulate parameter gradients into grad_views; return gradient w.r.t. input."""
+    """Write parameter gradients into grad_views; return gradient w.r.t. input."""
     g = g_out
     last = len(chain) - 1
     for i in reversed(range(len(chain))):
@@ -141,8 +144,8 @@ def _mlp_backward(chain, caches, grad_views, g_out: np.ndarray) -> np.ndarray:
         inp, z = caches[i]
         gz = g if i == last else g * (z > 0.0)
         gw, gb = grad_views[i]
-        gw += inp.T @ gz
-        gb += gz.sum(axis=0)
+        np.matmul(inp.T, gz, out=gw)
+        np.sum(gz, axis=0, out=gb)
         g = gz @ w.T
     return g
 
@@ -185,7 +188,7 @@ def _backward_batch(params: ModelParams, cache: dict, grad_segments: np.ndarray)
     cfg = params.config
     b = cache["batch"]
     p = cache["points"]
-    gflat = np.zeros_like(params.flat)
+    gflat = np.empty_like(params.flat)   # _mlp_backward writes every element once
     enc_views, head_views = _unpack(cfg, gflat)
     enc_chain, head_chain = _unpack(cfg, params.flat)
     u, vnorm, fallback = cache["u"], cache["vnorm"], cache["fallback"]
@@ -237,21 +240,40 @@ class AdamState:
 
 def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
               learning_rate: float) -> tuple[np.ndarray, AdamState]:
-    """One Adam update; mutates the moment state, returns the updated values."""
-    if values.shape != grad.shape or values.shape != state.m.shape:
+    """One Adam update; mutates the moment state, returns the updated values.
+
+    Runs in chunks of `_ADAM_CHUNK` elements through two chunk-sized scratch
+    buffers, with each element's float operations in the unchunked order.
+    """
+    if values.ndim != 1:
+        raise ValueError("values must be a 1-D array")
+    if not values.shape == grad.shape == state.m.shape == state.v.shape:
         raise ValueError("values, grad, and state must have matching lengths")
     state.t += 1
-    state.m *= _BETA1
-    state.m += (1.0 - _BETA1) * grad
-    state.v *= _BETA2
-    state.v += (1.0 - _BETA2) * grad * grad
-    m_hat = state.m / (1.0 - _BETA1 ** state.t)
-    v_hat = state.v / (1.0 - _BETA2 ** state.t)
-    np.sqrt(v_hat, out=v_hat)
-    v_hat += _ADAM_EPS
-    m_hat /= v_hat
-    m_hat *= learning_rate
-    return values - m_hat, state
+    bias1 = 1.0 - _BETA1 ** state.t
+    bias2 = 1.0 - _BETA2 ** state.t
+    out = np.empty_like(values)
+    step_buf = np.empty(min(len(values), _ADAM_CHUNK))
+    denom_buf = np.empty_like(step_buf)
+    for lo in range(0, len(values), _ADAM_CHUNK):
+        hi = min(lo + _ADAM_CHUNK, len(values))
+        g, m, v = grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        step, denom = step_buf[: hi - lo], denom_buf[: hi - lo]
+        m *= _BETA1
+        np.multiply(1.0 - _BETA1, g, out=step)
+        m += step
+        v *= _BETA2
+        np.multiply(1.0 - _BETA2, g, out=step)
+        step *= g
+        v += step
+        np.divide(m, bias1, out=step)       # m_hat
+        np.divide(v, bias2, out=denom)      # v_hat
+        np.sqrt(denom, out=denom)
+        denom += _ADAM_EPS
+        step /= denom
+        step *= learning_rate
+        np.subtract(values[lo:hi], step, out=out[lo:hi])
+    return out, state
 
 
 @dataclass(frozen=True)
@@ -267,6 +289,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        if self.batch_size < 0:
+            raise ValueError("batch_size must be >= 0")
 
 
 @dataclass

@@ -469,6 +469,17 @@ class TestMainEntry:
         assert "epoch 1" in capsys.readouterr().err
         assert not (out / "checkpoint.ckpt").exists()
 
+    def test_negative_batch_size_fails(self, tiny_dataset, tmp_path, capsys):
+        _, data = tiny_dataset
+        conf = tmp_path / "conf.txt"
+        conf.write_text("batch_size = -3\nepochs = 1\n")
+        out = tmp_path / "run"
+        code = cli.main(["train", "--config", str(conf), "--dataset", str(data),
+                         "--out", str(out)])
+        assert code == 1
+        assert "batch_size must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truncated_checkpoint_fails_naming_the_file(self, tiny_checkpoint, tmp_path,
                                                         capsys):
         _, data, ckpt = tiny_checkpoint

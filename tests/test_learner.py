@@ -22,6 +22,49 @@ from conftest import finite_difference_gradient, random_segments, relative_error
 
 TINY = ModelConfig(input_points=8, lam=2, slots=2, latent_dim=5,
                    encoder_hidden=(6,), head_hidden=(7,))
+# the default model's 1,104,616 parameters: 159 slots at budget 480, overlap 1
+DEFAULT_PARAMS = num_params(ModelConfig(input_points=512, lam=4, slots=159))
+
+
+def _adam_reference(values, grad, state, learning_rate):
+    """Unchunked Adam update, the oracle for the chunked `adam_step`."""
+    state.t += 1
+    state.m *= learner._BETA1
+    state.m += (1.0 - learner._BETA1) * grad
+    state.v *= learner._BETA2
+    state.v += (1.0 - learner._BETA2) * grad * grad
+    m_hat = state.m / (1.0 - learner._BETA1 ** state.t)
+    v_hat = state.v / (1.0 - learner._BETA2 ** state.t)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += learner._ADAM_EPS
+    m_hat /= v_hat
+    m_hat *= learning_rate
+    return values - m_hat, state
+
+
+def _mlp_forward_reference(chain, x):
+    """Forward pass with ReLU into a new array, the oracle for the in-place ReLU."""
+    caches = []
+    h = x
+    for i, (w, b) in enumerate(chain):
+        z = h @ w + b
+        caches.append((h, z))
+        h = z if i == len(chain) - 1 else np.maximum(z, 0.0)
+    return h, caches
+
+
+def _mlp_backward_reference(chain, caches, grad_views, g_out):
+    """Backward pass that adds into zero-filled gradient views."""
+    g = g_out
+    for i in reversed(range(len(chain))):
+        w, _ = chain[i]
+        inp, z = caches[i]
+        gz = g if i == len(chain) - 1 else g * (z > 0.0)
+        gw, gb = grad_views[i]
+        gw += inp.T @ gz
+        gb += gz.sum(axis=0)
+        g = gz @ w.T
+    return g
 
 
 def tiny_setup(seed=0):
@@ -71,6 +114,22 @@ class TestForward:
         with pytest.raises(ValueError):
             predict(params, np.zeros((TINY.input_points + 1, 3)))
 
+    def test_relu_mask_matches_reference(self):
+        # equal consecutive widths, so one layer's buffer could stand in for the next's
+        cfg = ModelConfig(input_points=8, lam=2, slots=2, latent_dim=6,
+                          encoder_hidden=(6, 6), head_hidden=(7, 7))
+        rng = np.random.default_rng(14)
+        params = init_params(cfg, 14)
+        for chain, x in zip(learner._unpack(cfg, params.flat),
+                            (rng.normal(size=(16, 3)), rng.normal(size=(3, 6)))):
+            out, caches = learner._mlp_forward(chain, x)
+            want, want_caches = _mlp_forward_reference(chain, x)
+            assert np.array_equal(out, want)
+            for (inp, z), (want_inp, want_z) in zip(caches, want_caches):
+                assert np.array_equal(inp, want_inp)
+                assert np.array_equal(z > 0.0, want_z > 0.0)
+                assert 0 < (want_z > 0.0).sum() < want_z.size
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             ModelConfig(input_points=8, lam=2, slots=2, mode="pointwise")
@@ -98,6 +157,28 @@ class TestBackward:
         _, cache = learner._forward_batch(params, cloud[None])
         grad = learner._backward_batch(params, cache, np.zeros((1, TINY.slots, TINY.lam, 6)))
         assert np.abs(grad).max() == 0.0
+
+    def test_writes_every_gradient_once(self, monkeypatch):
+        # a NaN-filled buffer shows any gradient element that is not written
+        rng, params, _ = tiny_setup(15)
+        clouds = rng.normal(size=(3, TINY.input_points, 3))
+        segs, cache = learner._forward_batch(params, clouds)
+        grad_out = rng.normal(size=segs.shape)
+        with monkeypatch.context() as m:
+            m.setattr(learner, "_mlp_backward", _mlp_backward_reference)
+            m.setattr(np, "empty_like", np.zeros_like)
+            want = learner._backward_batch(params, cache, grad_out)
+        empty_like = np.empty_like
+
+        def nan_filled(*args, **kwargs):
+            out = empty_like(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty_like", nan_filled)
+        got = learner._backward_batch(params, cache, grad_out)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, want)
 
     def test_orientation_gradient_orthogonal(self):
         # the backprop through L2 normalization projects onto the tangent space,
@@ -152,8 +233,32 @@ class TestAdam:
         assert abs(abs(x[0] - prev[0]) - lr) < lr * 0.01
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            adam_step(np.zeros(3), np.zeros(4), AdamState.zeros(3), 0.1)
+        cases = [
+            (np.zeros(3), np.zeros(4), AdamState.zeros(3)),
+            (np.zeros(3), np.zeros(3), AdamState(np.zeros(3), np.zeros(4))),
+            (np.zeros(3), np.zeros(3), AdamState(np.zeros(3), np.zeros(2))),
+            (np.zeros((2, 3)), np.zeros((2, 3)), AdamState(np.zeros((2, 3)), np.zeros((2, 3)))),
+        ]
+        for values, grad, state in cases:
+            with pytest.raises(ValueError):
+                adam_step(values, grad, state, 0.1)
+
+    @pytest.mark.parametrize("n", [1, learner._ADAM_CHUNK - 1, learner._ADAM_CHUNK,
+                                   learner._ADAM_CHUNK + 1, 3 * learner._ADAM_CHUNK + 5,
+                                   DEFAULT_PARAMS])
+    def test_matches_unchunked_reference(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=n)
+        want_values = values.copy()
+        state, want_state = AdamState.zeros(n), AdamState.zeros(n)
+        for _ in range(40):
+            grad = rng.normal(scale=rng.uniform(1e-4, 10.0), size=n)
+            values, state = adam_step(values, grad, state, 1e-3)
+            want_values, want_state = _adam_reference(want_values, grad, want_state, 1e-3)
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(state.m, want_state.m)
+            assert np.array_equal(state.v, want_state.v)
+        assert state.t == want_state.t == 40
 
 
 def make_cuboid_samples(n, lam=4, overlap=1, points=64, budget=120, seed=0):
@@ -225,6 +330,11 @@ class TestTrain:
         _, h1 = train(samples, cfg, tc)
         _, h2 = train(samples, cfg, tc)
         assert np.array_equal(h1, h2)
+
+    def test_negative_batch_size_rejected(self):
+        with pytest.raises(ValueError, match="batch_size must be >= 0"):
+            TrainConfig(epochs=1, batch_size=-3)
+        assert TrainConfig(epochs=1, batch_size=0).batch_size == 0
 
     def test_warm_start_config_mismatch(self):
         samples, slots = make_cuboid_samples(2)
