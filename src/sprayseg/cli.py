@@ -18,7 +18,6 @@ import numpy as np
 from . import geometry, linker, spraysim, svgplot, synthdata
 from .kvio import format_rows, read_keyvalues, write_file, write_keyvalues
 from .learner import (
-    MODES,
     ModelConfig,
     ModelParams,
     TrainConfig,
@@ -60,6 +59,33 @@ class ExperimentConfig:
     face_grid: int = 6
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        """Check every value by building the objects that own it, before any file is read or
+        written; an error whose owner names a value otherwise is prefixed with its keys."""
+        known = set(self.categories) & set(synthdata.CATEGORIES)
+        if not self.categories or len(known) < len(self.categories):
+            raise CliError(f"categories must be distinct names from {synthdata.CATEGORIES}")
+        if self.face_grid < 1:
+            raise CliError("face_grid must be >= 1")
+        if not 0.0 < self.fraction <= 1.0:
+            raise CliError("fraction must lie in (0, 1]")
+        self.train_config()
+        self.link_config()
+        for keys, build in (
+                ("seed", lambda: np.random.SeedSequence(self.seed)),
+                ("count", lambda: synthdata.split_dataset(range(self.count), self.seed)),
+                ("budget, lam, overlap",
+                 lambda: synthdata.output_slot_count(self.budget, self.lam, self.overlap)),
+                ("half_angle_deg, max_range, flux", self.gun),
+                ("cloud_points, latent_dim, encoder_hidden, head_hidden, mode",
+                 lambda: ModelConfig(self.cloud_points, lam=1, slots=1, latent_dim=self.latent_dim,
+                                     encoder_hidden=self.encoder_hidden,
+                                     head_hidden=self.head_hidden, mode=self.mode))):
+            try:
+                build()
+            except ValueError as exc:
+                raise CliError(f"{keys}: {exc}") from exc
+
     def weights(self) -> LossWeights:
         return LossWeights(alpha=self.alpha, orientation_weight=self.orientation_weight)
 
@@ -71,6 +97,9 @@ class ExperimentConfig:
         return TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
                            weights=self.weights(), seed=self.seed,
                            batch_size=self.batch_size)
+
+    def link_config(self) -> linker.LinkConfig:
+        return linker.LinkConfig(tau=self.tau, weights=self.weights())
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
@@ -97,13 +126,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             raise CliError(f"unknown config key {key!r}")
         values[key] = (_parse_value(key, value, getattr(defaults, key))
                        if isinstance(value, str) else value)
-    cfg = ExperimentConfig(**values)
-    for cat in cfg.categories:
-        if cat not in synthdata.CATEGORIES:
-            raise CliError(f"unknown category {cat!r}")
-    if cfg.mode not in MODES:
-        raise CliError(f"unknown mode {cfg.mode!r}")
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def config_dict(cfg: ExperimentConfig) -> dict[str, str]:
@@ -244,8 +267,6 @@ def build_training_samples(cfg: ExperimentConfig, clouds_and_strokes,
 
 
 def _select_fraction(ids: list[str], fraction: float, seed: int) -> list[str]:
-    if not 0.0 < fraction <= 1.0:
-        raise CliError("fraction must lie in (0, 1]")
     if fraction == 1.0:
         return list(ids)
     n = max(1, int(round(fraction * len(ids))))
@@ -306,7 +327,7 @@ def cmd_concat(cfg: ExperimentConfig, pred_dir, dataset_dir, out_dir) -> Path:
     pred_dir = Path(pred_dir)
     out_dir = Path(out_dir)
     scale = read_meta(dataset_dir)["scale_factor"]
-    link_cfg = linker.LinkConfig(tau=cfg.tau, weights=cfg.weights())
+    link_cfg = cfg.link_config()
     paths = sorted(pred_dir.glob("*.txt"))
     if not paths:
         raise CliError(f"no prediction files under {pred_dir}")
@@ -360,17 +381,14 @@ def evaluate_sample(cfg: ExperimentConfig, dataset_dir, sid: str,
         scale_factor = read_meta(dataset_dir)["scale_factor"]
     mesh, cloud, strokes = load_dataset_sample(dataset_dir, sid)
     ncloud, nstrokes, tf = geometry.normalize(cloud, strokes, scale_factor)
-    weights = cfg.weights()
     if params is None:
         pred = synthdata.decompose_segments(nstrokes, cfg.lam, cfg.overlap)
     else:
         pred = predict(params, ncloud)
     gt_poses = np.concatenate(nstrokes)
-    pcd = spraysim.pose_chamfer(pred.reshape(-1, 6), gt_poses, weights) * 1e4
+    pcd = spraysim.pose_chamfer(pred.reshape(-1, 6), gt_poses, cfg.weights()) * 1e4
     if concat:
-        if pred.shape[1] < 2:
-            raise CliError("cannot concatenate single-pose segments (lam == 1)")
-        linked = linker.concatenate(pred, linker.LinkConfig(tau=cfg.tau, weights=weights))
+        linked = linker.concatenate(pred, cfg.link_config())
     else:
         linked = list(pred)
     exec_strokes = geometry.denormalize(linked, tf)
@@ -438,6 +456,13 @@ def cmd_sweep(cfg: ExperimentConfig, dataset_dir, out_dir, param: str,
     names = [f"tau_{v:g}" if param == "tau" else f"{param}_{int(v)}" for v in values]
     if len(set(names)) < len(names):
         raise CliError(f"{param} values {values} share run directories {names}")
+    if param == "tau":
+        run_cfgs = [replace(cfg, tau=float(v)) for v in values]
+    elif param == "overlap":
+        run_cfgs = [replace(cfg, overlap=int(v)) for v in values]
+    else:
+        run_cfgs = [replace(cfg, lam=int(v), overlap=min(cfg.overlap, int(v) - 1),
+                            mode="segments" if v > 1 else "pointwise") for v in values]
     out_dir = Path(out_dir)
     ckpt = cmd_train(cfg, dataset_dir, out_dir / "model") if param == "tau" else None
     model_cfg = None
@@ -449,15 +474,9 @@ def cmd_sweep(cfg: ExperimentConfig, dataset_dir, out_dir, param: str,
                                        read_meta(dataset_dir))
     gt_fields: dict = {}
     results = []
-    for v, name in zip(values, names):
+    for v, name, run_cfg in zip(values, names, run_cfgs):
         run_dir = out_dir / name
-        if param == "tau":
-            run_cfg = replace(cfg, tau=float(v))
-        else:
-            v = int(v)
-            run_cfg = (replace(cfg, overlap=v) if param == "overlap" else
-                       replace(cfg, lam=v, overlap=min(cfg.overlap, v - 1),
-                               mode="segments" if v > 1 else "pointwise"))
+        if param != "tau":
             ckpt = cmd_train(run_cfg, dataset_dir, run_dir / "model", model_cfg=model_cfg)
         rows = cmd_evaluate(run_cfg, dataset_dir, run_dir, checkpoint=ckpt,
                             concat=param == "tau", gt_fields=gt_fields)
@@ -562,7 +581,7 @@ def main(argv=None) -> int:
             values = [float(v) for v in args.values.split(",") if v.strip()]
             cmd_sweep(cfg, args.dataset, args.out, args.param, values)
         return 0
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

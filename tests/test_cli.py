@@ -351,6 +351,20 @@ class TestSweep:
         assert str([float(v) for v in values.split(",")]) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("param,values,key", [("lambda", "0,-2", "lam"),
+                                                  ("tau", "0.1,-1", "tau"),
+                                                  ("overlap", "0,4", "overlap")])
+    def test_invalid_run_config_rejected_before_any_work(self, tiny_dataset, tmp_path, capsys,
+                                                         param, values, key):
+        _, data = tiny_dataset
+        conf = tmp_path / "conf.txt"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in tiny_overrides(epochs=1).items()))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(conf), "--dataset", str(data),
+                         "--param", param, "--values", values, "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("param", ["lambda", "overlap"])
     def test_non_integer_values_rejected(self, tiny_dataset, tmp_path, param):
         cfg, data = tiny_dataset
@@ -382,6 +396,25 @@ class TestMainEntry:
         code = cli.main(["generate", "--out", str(tmp_path / "x"),
                          "--categories", "spheres"])
         assert code == 1
+
+    @pytest.mark.parametrize("key,value", [
+        ("half_angle_deg", "120"), ("max_range", "-1"), ("flux", "nan"),
+        ("learning_rate", "nan"), ("alpha", "-1"), ("latent_dim", "0"), ("lam", "0"),
+        ("overlap", "7"), ("categories", "cuboids,cuboids"), ("face_grid", "0"),
+        ("count", "4"), ("budget", "3"), ("encoder_hidden", "0"), ("head_hidden", "0"),
+        ("cloud_points", "0"), ("batch_size", "-3"), ("epochs", "0"), ("tau", "-1"),
+        ("fraction", "0"), ("seed", "-1"),
+    ])
+    def test_invalid_config_fails_naming_the_key_before_any_work(self, tmp_path, capsys,
+                                                                 key, value):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in tiny_overrides(**{key: value}).items()))
+        out = tmp_path / "out"
+        # train names a dataset that does not exist: it must fail before reading it
+        for argv in (["generate"], ["train", "--dataset", str(tmp_path / "no_dataset")]):
+            assert cli.main([*argv, "--config", str(conf), "--out", str(out)]) == 1
+            assert key in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_subcommand_is_validation_error(self):
         assert cli.main([]) == 1
