@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +19,9 @@ _UNIT_TOL = 1e-6
 # Offsets of the 27 cells around a grid cell: the cell size is the thinning radius,
 # so every point closer than it lies in one of them.
 _NEIGHBOUR_CELLS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
+# (0, 0, 0) and the 13 offsets after it. The other 13 are their negations, so pairing each
+# cell with these meets every pair of neighbouring cells once.
+_FORWARD_CELLS = np.array(_NEIGHBOUR_CELLS[13:], dtype=np.int64)
 
 
 class MeshError(ValueError):
@@ -147,36 +151,101 @@ def load_point_cloud(path) -> np.ndarray:
     return load_rows(path, 3)
 
 
-def _greedy_thin(points: np.ndarray, radius: float, n_target: int) -> list[int]:
-    """Dart-throwing pass: accept points at least `radius` apart, in candidate order."""
+def _conflict_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of candidates closer than `radius` in neighbouring grid cells.
+
+    Returns (later, earlier) index arrays with later > earlier. A pair conflicts when its
+    `np.floor(points / radius)` cells are at most 1 apart on each axis and `d @ d < radius**2`,
+    d being the earlier point minus the later one.
+    """
+    m = len(points)
     r2 = radius * radius
-    cells = np.floor(points * (1.0 / radius)).astype(np.int64).tolist()
-    grid: dict[tuple[int, int, int], list[int]] = {}
-    accepted: list[int] = []
-    for i, (p, (cx, cy, cz)) in enumerate(zip(points, cells)):
-        if any((d := points[j] - p) @ d < r2
-               for dx, dy, dz in _NEIGHBOUR_CELLS
-               for j in grid.get((cx + dx, cy + dy, cz + dz), ())):
-            continue
-        accepted.append(i)
-        grid.setdefault((cx, cy, cz), []).append(i)
-        if len(accepted) >= n_target:
+    cells = np.floor(points * (1.0 / radius)).astype(np.int64)
+    # Mixed-radix cell keys, sorted, so memory grows with the candidates and not with the
+    # grid. Beyond 2**63 cells the keys wrap and a far cell may share a neighbour's key; its
+    # candidates lie at least `radius` away and fail the distance test.
+    c = cells - (cells.min(axis=0) - 1)
+    span = c.max(axis=0) + 2
+    strides = np.array([span[1:].prod(), span[2], 1])
+    key = c @ strides
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    bounds = np.append(np.flatnonzero(first), m)  # sorted position where each cell starts
+    cell_keys = key[bounds[:-1]]
+    # Sorted positions [start, stop) of each candidate's neighbours, one row per offset
+    near = cell_keys + (_FORWARD_CELLS @ strides)[:, None]
+    idx = np.searchsorted(cell_keys, near)
+    found = np.take(cell_keys, idx, mode="clip") == near
+    cell_of = np.cumsum(first) - 1
+    start, stop = bounds[idx][:, cell_of], bounds[idx + found][:, cell_of]
+    start[0] = np.arange(1, m + 1)  # within its own cell a candidate pairs with those after it
+    count = (stop - start).ravel()
+    a = np.repeat(np.tile(np.arange(m), len(_FORWARD_CELLS)), count)
+    b = np.arange(count.sum()) + np.repeat(start.ravel() - (np.cumsum(count) - count), count)
+    sorted_points = points[order]
+    diff = np.take(sorted_points, b, axis=0) - np.take(sorted_points, a, axis=0)
+    d2 = (diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]) + diff[:, 2] * diff[:, 2]
+    close = d2 < r2
+    # `d @ d` may round differently from d2, so it decides the values this near r2
+    for k in np.flatnonzero(np.abs(d2 - r2) <= 1e-9 * r2):
+        j, i = sorted((order[a[k]], order[b[k]]))
+        close[k] = (d := points[j] - points[i]) @ d < r2
+    i, j = order[a[close]], order[b[close]]
+    return np.maximum(i, j), np.minimum(i, j)
+
+
+def _greedy_thin(points: np.ndarray, radius: float, n_target: int) -> list[int]:
+    """Dart throwing: the first `n_target` candidates, in index order, that lie at least
+    `radius` from every candidate accepted before them.
+
+    Candidate i is accepted when none of its conflicts j < i was. Each round decides every
+    open candidate whose earlier conflicts are all rejected or one accepted, so at least the
+    first open one; once a round decides under a quarter of the open candidates, a plain loop
+    decides the rest. Each round costs O(open candidates + their conflicts), so the pass
+    stays linear in candidates plus conflicts, besides one sort.
+    """
+    later, earlier = _conflict_pairs(points, radius)
+    state = np.zeros(len(points), dtype=np.int8)  # 1 accepted, -1 rejected, 0 open
+    blocked = np.zeros(len(points), dtype=bool)
+    open_ = np.arange(len(points))
+    while open_.size:
+        blocked[later[state[earlier] >= 0]] = True
+        state[open_[~blocked[open_]]] = 1
+        blocked[later] = False
+        state[later[state[earlier] == 1]] = -1
+        keep = state[later] == 0
+        later, earlier = later[keep], earlier[keep]
+        was_open = open_.size
+        open_ = open_[state[open_] == 0]
+        if 4 * (was_open - open_.size) < was_open:
             break
-    return accepted
+    by_later = np.argsort(later, kind="stable")
+    later, earlier = later[by_later], earlier[by_later]
+    starts = np.searchsorted(later, open_, side="left").tolist()
+    stops = np.searchsorted(later, open_, side="right").tolist()
+    for i, lo, hi in zip(open_.tolist(), starts, stops):
+        state[i] = -1 if (state[earlier[lo:hi]] == 1).any() else 1
+    return np.flatnonzero(state == 1)[:n_target].tolist()
 
 
 def sample_point_cloud(mesh: TriMesh, n: int, seed: int, return_faces: bool = False):
-    """Sample exactly n points on the mesh surface, approximately evenly spread.
+    """Sample exactly n points on the mesh surface.
 
     Area-weighted uniform candidates are thinned by greedy dart throwing at
     radius 0.7 * sqrt(area / n); any shortfall is filled from the remaining
-    candidates so the count is exact. Deterministic per seed.
+    candidates, in candidate order, so the count is exact. The fill is not
+    thinned: on the generated objects (4 categories x 10 at face_grid 6 and 3,
+    dataset seed 0) thinning accepts 291 to 494 of n = 512 points, so 4% to 43%
+    of each cloud is fill. Deterministic per seed.
 
     Returns the (n, 3) points, plus the generating face index per point when
     return_faces is set.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError("n must be an integer >= 1")
     areas = face_areas(mesh)
     total_area = areas.sum()
     if total_area <= 0:

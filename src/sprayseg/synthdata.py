@@ -72,45 +72,41 @@ def validate_strokes(strokes: list[np.ndarray]) -> None:
 # mesh construction
 
 
-def _box_panels(center, size, cell: float):
+def _box_panels(center, size, cell: float) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned box as six face grids subdivided to ~`cell`-sized quads."""
     center = np.asarray(center, dtype=np.float64)
     half = np.asarray(size, dtype=np.float64) / 2.0
     verts: list[np.ndarray] = []
-    faces: list[list[int]] = []
+    faces: list[np.ndarray] = []
+    base = 0
     for axis in range(3):
         ua, va = (axis + 1) % 3, (axis + 2) % 3
         gu = max(1, int(round(size[ua] / cell)))
         gv = max(1, int(round(size[va] / cell)))
+        a = (np.arange(gu)[:, None] * (gv + 1) + np.arange(gv)).ravel()
+        b = a + gv + 1
+        quad = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=1).reshape(-1, 3)
         for sign in (1.0, -1.0):
-            base = len(verts)
-            us = np.linspace(-half[ua], half[ua], gu + 1)
-            vs = np.linspace(-half[va], half[va], gv + 1)
-            for u in us:
-                for v in vs:
-                    p = center.copy()
-                    p[axis] += sign * half[axis]
-                    p[ua] += u
-                    p[va] += v
-                    verts.append(p)
-            for i in range(gu):
-                for j in range(gv):
-                    a = base + i * (gv + 1) + j
-                    b = a + gv + 1
-                    faces.append([a, b, b + 1])
-                    faces.append([a, b + 1, a + 1])
-    return verts, faces
+            p = np.empty((gu + 1, gv + 1, 3))
+            p[..., axis] = center[axis] + sign * half[axis]
+            p[..., ua] = center[ua] + np.linspace(-half[ua], half[ua], gu + 1)[:, None]
+            p[..., va] = center[va] + np.linspace(-half[va], half[va], gv + 1)
+            verts.append(p.reshape(-1, 3))
+            faces.append(quad + base)
+            base += (gu + 1) * (gv + 1)
+    return np.concatenate(verts), np.concatenate(faces)
 
 
 def _mesh_from_boxes(boxes, cell: float) -> TriMesh:
     verts: list[np.ndarray] = []
-    faces: list[list[int]] = []
+    faces: list[np.ndarray] = []
+    offset = 0
     for center, size in boxes:
         v, f = _box_panels(center, size, cell)
-        offset = len(verts)
-        verts.extend(v)
-        faces.extend([[a + offset, b + offset, c + offset] for a, b, c in f])
-    return TriMesh(np.array(verts), np.array(faces))
+        verts.append(v)
+        faces.append(f + offset)
+        offset += len(v)
+    return TriMesh(np.concatenate(verts), np.concatenate(faces))
 
 
 # ---------------------------------------------------------------------------

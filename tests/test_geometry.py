@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from sprayseg import geometry
+from sprayseg import geometry, synthdata
 from sprayseg.geometry import MeshError
 
 from conftest import CUBE_MESH_TEXT, MALFORMED, malformed_rows
@@ -19,6 +21,33 @@ def barycentric_residual(point, tri):
     residual = np.linalg.norm(point - recon)
     inside = (u >= -1e-9) and (v >= -1e-9) and (u + v <= 1 + 1e-9)
     return residual, inside
+
+
+def _greedy_thin_reference(points, radius, n_target):
+    """Per-candidate dart throwing over a cell grid, the oracle for `geometry._greedy_thin`."""
+    r2 = radius * radius
+    cells = np.floor(points * (1.0 / radius)).astype(np.int64).tolist()
+    grid = {}
+    accepted = []
+    for i, (p, (cx, cy, cz)) in enumerate(zip(points, cells)):
+        if any((d := points[j] - p) @ d < r2
+               for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)
+               for j in grid.get((cx + dx, cy + dy, cz + dz), ())):
+            continue
+        accepted.append(i)
+        grid.setdefault((cx, cy, cz), []).append(i)
+        if len(accepted) >= n_target:
+            break
+    return accepted
+
+
+def thin_checked(points, radius, n_target=None):
+    """`geometry._greedy_thin`, asserted equal to the reference."""
+    points = np.asarray(points, dtype=np.float64)
+    n_target = len(points) if n_target is None else n_target
+    kept = geometry._greedy_thin(points, radius, n_target)
+    assert kept == _greedy_thin_reference(points, radius, n_target)
+    return kept
 
 
 class TestLoadMesh:
@@ -119,6 +148,17 @@ class TestSamplePointCloud:
         with pytest.raises(ValueError):
             geometry.sample_point_cloud(mesh, 0, seed=0)
 
+    @pytest.mark.parametrize("n", [2.5, 10.0, "8"])
+    def test_non_integer_count(self, cube_mesh_path, n):
+        mesh, _ = geometry.load_mesh(cube_mesh_path)
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            geometry.sample_point_cloud(mesh, n, seed=0)
+
+    def test_numpy_integer_count(self, cube_mesh_path):
+        mesh, _ = geometry.load_mesh(cube_mesh_path)
+        assert np.array_equal(geometry.sample_point_cloud(mesh, np.int64(40), seed=1),
+                              geometry.sample_point_cloud(mesh, 40, seed=1))
+
     def test_area_proportional_share(self, cube_mesh_path):
         # per cube side (two triangles each), the sample share should approach
         # the area share of 1/6 within 20% relative at n = 10000
@@ -127,6 +167,72 @@ class TestSamplePointCloud:
         side_counts = np.bincount(fidx // 2, minlength=6)
         expected = 10000 / 6
         assert np.all(np.abs(side_counts - expected) / expected < 0.2)
+
+
+class TestGreedyThin:
+    @pytest.mark.parametrize("face_grid", [3, 6])
+    @pytest.mark.parametrize("category", synthdata.CATEGORIES)
+    def test_matches_reference_on_generated_objects(self, monkeypatch, category, face_grid):
+        thin = geometry._greedy_thin
+        matches = []
+
+        def spy(points, radius, n_target):
+            kept = thin(points, radius, n_target)
+            matches.append(kept == _greedy_thin_reference(points, radius, n_target))
+            return kept
+
+        monkeypatch.setattr(geometry, "_greedy_thin", spy)
+        for seed in (0, 1, 2):
+            mesh = synthdata.generate_object(category, seed, face_grid).mesh
+            for n in (1, 7, 48, 512, 600):
+                geometry.sample_point_cloud(mesh, n, seed=100 + seed)
+        assert matches == [True] * 15
+
+    def test_exactly_radius_apart_is_no_conflict(self):
+        points = np.array([[-3.0, 0, 0], [0, 4.0, 0]])  # cells -1 and 0
+        d = points[1] - points[0]
+        assert d @ d == 25.0
+        assert thin_checked(points, 5.0) == [0, 1]
+
+    def test_one_step_inside_radius_is_a_conflict(self):
+        points = np.array([[-3.0, 0, 0], [0, np.nextafter(4.0, 0.0), 0]])
+        d = points[1] - points[0]
+        assert d @ d == np.nextafter(25.0, 0.0)
+        assert thin_checked(points, 5.0) == [0]
+
+    def test_cell_boundaries_and_negative_cells(self):
+        # coordinates are multiples of radius / 2: every other one is a cell boundary
+        lattice = np.array(list(itertools.product(range(-4, 4), repeat=3))) * 0.25
+        assert len(thin_checked(lattice * 2, 0.5)) == len(lattice)  # spacing = radius
+        order = np.random.default_rng(0).permutation(len(lattice))
+        assert 1 < len(thin_checked(lattice[order], 0.5)) < len(lattice)
+
+    def test_duplicates_are_never_both_accepted(self):
+        points = np.random.default_rng(1).normal(size=(40, 3))
+        kept = thin_checked(np.concatenate([points, points[::-1]]), 0.6)
+        assert kept and max(kept) < 40
+
+    def test_all_candidates_in_one_cell(self):
+        points = np.random.default_rng(2).random((300, 3)) * 0.5 + 1.0
+        assert np.ptp(np.floor(points / 0.5), axis=0).max() == 0
+        assert len(thin_checked(points, 0.5)) > 1
+
+    def test_target_reached_before_candidates_run_out(self):
+        points = np.random.default_rng(3).random((400, 3)) * 4.0
+        everything = thin_checked(points, 0.5)
+        assert thin_checked(points, 0.5, 9) == everything[:9]
+        assert len(everything) > 9
+
+    def test_chain_decided_one_by_one(self):
+        points = np.zeros((300, 3))
+        points[:, 0] = np.arange(300) * 0.9
+        assert thin_checked(points, 1.0) == list(range(0, 300, 2))
+
+    def test_cell_keys_that_wrap(self):
+        # 2**32 cells along y and z: the int64 keys wrap and ignore x, so far cells share a key
+        points = np.array([[0.0, 0, 0], [0, 2**32 - 3, 2**32 - 3], [1e6, 0, 0.5],
+                           [1e6, 0.5, 0], [0.5, 0, 0], [2e6, 0.2, 0.2]])
+        assert thin_checked(points, 1.0) == [0, 1, 2, 5]
 
 
 class TestNormalize:

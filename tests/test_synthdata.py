@@ -21,6 +21,33 @@ BAD_INDEX = {f"index_{name}": "".join(f"{k} 0 0 {i} 0 0 -1\n" for i, k in enumer
                               ("not_integer", "0 0.5 1")]}
 
 
+def _box_panels_reference(center, size, cell):
+    """Per-vertex box panel construction, the oracle for `synthdata._box_panels`."""
+    center = np.asarray(center, dtype=np.float64)
+    half = np.asarray(size, dtype=np.float64) / 2.0
+    verts, faces = [], []
+    for axis in range(3):
+        ua, va = (axis + 1) % 3, (axis + 2) % 3
+        gu = max(1, int(round(size[ua] / cell)))
+        gv = max(1, int(round(size[va] / cell)))
+        for sign in (1.0, -1.0):
+            base = len(verts)
+            for u in np.linspace(-half[ua], half[ua], gu + 1):
+                for v in np.linspace(-half[va], half[va], gv + 1):
+                    p = center.copy()
+                    p[axis] += sign * half[axis]
+                    p[ua] += u
+                    p[va] += v
+                    verts.append(p)
+            for i in range(gu):
+                for j in range(gv):
+                    a = base + i * (gv + 1) + j
+                    b = a + gv + 1
+                    faces.append([a, b, b + 1])
+                    faces.append([a, b + 1, a + 1])
+    return np.array(verts), np.array(faces)
+
+
 def record_equal(a, b):
     return (np.array_equal(a.mesh.vertices, b.mesh.vertices)
             and np.array_equal(a.mesh.faces, b.mesh.faces)
@@ -66,6 +93,19 @@ class TestGenerateObject:
                 gap = np.linalg.norm(nearest)
                 assert gap > 0.02, "stroke must keep a positive stand-off"
                 assert pose[3:] @ nearest > 0, "orientation must face the surface"
+
+
+class TestBoxPanels:
+    @pytest.mark.parametrize("center, size, cell", [
+        ((0.1, -0.2, 0.3), (0.4, 0.07, 0.25), 0.04),
+        ((0.0, 0.0, 0.0), (0.33, 0.41, 0.29), 0.41 / 6),
+        ((-1.5, 2.0, 0.7), (0.02, 0.9, 0.03), 0.3),  # one quad across the thin sides
+    ])
+    def test_matches_reference_bitwise(self, center, size, cell):
+        verts, faces = synthdata._box_panels(center, np.array(size), cell)
+        ref_verts, ref_faces = _box_panels_reference(center, np.array(size), cell)
+        assert verts.tobytes() == ref_verts.tobytes()
+        assert faces.dtype == ref_faces.dtype and faces.tobytes() == ref_faces.tobytes()
 
 
 class TestDownsample:
