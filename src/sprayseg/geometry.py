@@ -120,6 +120,8 @@ def load_mesh(path) -> tuple[TriMesh, int]:
         mesh = TriMesh(np.array(verts), np.array(faces))
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc
+    except OverflowError:   # an index beyond int64: no mesh has that many vertices
+        raise MeshError(f"{path}: face index out of range") from None
     areas = face_areas(mesh)
     keep = areas > DEGENERATE_AREA
     dropped = int((~keep).sum())

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .kvio import write_file
 from .objective import LossWeights, total_loss
 
@@ -120,19 +121,31 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 # forward / backward
 
 
-def _mlp_forward(chain, x: np.ndarray):
-    """Linear layers with ReLU between them, linear output. Returns (out, caches)."""
-    caches = []
-    h = x
+def _mlp_rows(chain, x: np.ndarray, zs: list[np.ndarray], rows: slice) -> np.ndarray:
+    """Write `rows` of every layer's output into `zs`: linear layers with ReLU
+    between them, linear output. Returns the last layer's rows."""
+    h = x[rows]
     last = len(chain) - 1
-    for i, (w, b) in enumerate(chain):
-        z = h @ w
+    for i, ((w, b), z) in enumerate(zip(chain, zs)):
+        z = z[rows]
+        np.matmul(h, w, out=z)
         z += b
         if i != last:
             np.maximum(z, 0.0, out=z)   # z > 0 marks the same units after ReLU
-        caches.append((h, z))
         h = z
-    return h, caches
+    return h
+
+
+def _mlp_buffers(chain, x: np.ndarray):
+    """Each layer's output buffer, and the (input, output) caches they make."""
+    zs = [np.empty((len(x), w.shape[1])) for w, _ in chain]
+    return zs, list(zip([x, *zs[:-1]], zs))
+
+
+def _mlp_forward(chain, x: np.ndarray):
+    """The MLP on every row of x. Returns (out, caches)."""
+    zs, caches = _mlp_buffers(chain, x)
+    return _mlp_rows(chain, x, zs, slice(None)), caches
 
 
 def _mlp_backward(chain, caches, grad_views, g_out: np.ndarray) -> np.ndarray:
@@ -150,14 +163,36 @@ def _mlp_backward(chain, caches, grad_views, g_out: np.ndarray) -> np.ndarray:
     return g
 
 
+def _shares(n: int) -> list[slice]:
+    """range(n) cut for `parallel.spread`: whole when BLAS runs its products on
+    several threads, which keep the CPUs busy and spin between products, so
+    more threads would only compete with them."""
+    return parallel.spans(n) if parallel.BLAS_THREADS == 1 else [slice(0, n)]
+
+
 def _encode_batch(params: ModelParams, clouds: np.ndarray):
-    """Clouds (B, P, 3) -> latents (B, latent_dim) via per-point MLP and channel max-pool."""
+    """Clouds (B, P, 3) -> latents (B, latent_dim) via per-point MLP and channel max-pool.
+
+    Samples are independent, so spans of them run concurrently
+    (`parallel.spread`), each writing only its own rows. A row of a product
+    does not depend on the rows beside it, so the result does not depend on
+    the split. One-point clouds run serially: a one-row share would be a
+    matrix-vector product, which BLAS may sum in another order.
+    """
     cfg = params.config
     b, p, _ = clouds.shape
     enc_chain, _ = _unpack(cfg, params.flat)
-    feat_flat, enc_caches = _mlp_forward(enc_chain, clouds.reshape(b * p, 3))
-    feat = feat_flat.reshape(b, p, cfg.latent_dim)
-    amax = feat.argmax(axis=1)  # (B, latent_dim), first index wins on ties
+    x = clouds.reshape(b * p, 3)
+    zs, enc_caches = _mlp_buffers(enc_chain, x)
+    amax = np.empty((b, cfg.latent_dim), dtype=np.intp)
+
+    def share(samples: slice) -> None:
+        feat = _mlp_rows(enc_chain, x, zs, slice(samples.start * p, samples.stop * p))
+        # first index wins on ties
+        np.argmax(feat.reshape(-1, p, cfg.latent_dim), axis=1, out=amax[samples])
+
+    parallel.spread(share, _shares(b) if p > 1 else [slice(0, b)])
+    feat = zs[-1].reshape(b, p, cfg.latent_dim)
     latent = np.take_along_axis(feat, amax[:, None, :], axis=1)[:, 0, :]
     return latent, {"enc_caches": enc_caches, "amax": amax, "points": p, "batch": b}
 
@@ -244,6 +279,8 @@ def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
 
     Runs in chunks of `_ADAM_CHUNK` elements through two chunk-sized scratch
     buffers, with each element's float operations in the unchunked order.
+    Contiguous runs of chunks go concurrently (`parallel.spread`), each with
+    its own buffers and its own slices of the output and the state.
     """
     if values.ndim != 1:
         raise ValueError("values must be a 1-D array")
@@ -253,26 +290,31 @@ def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
     bias1 = 1.0 - _BETA1 ** state.t
     bias2 = 1.0 - _BETA2 ** state.t
     out = np.empty_like(values)
-    step_buf = np.empty(min(len(values), _ADAM_CHUNK))
-    denom_buf = np.empty_like(step_buf)
-    for lo in range(0, len(values), _ADAM_CHUNK):
-        hi = min(lo + _ADAM_CHUNK, len(values))
-        g, m, v = grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
-        step, denom = step_buf[: hi - lo], denom_buf[: hi - lo]
-        m *= _BETA1
-        np.multiply(1.0 - _BETA1, g, out=step)
-        m += step
-        v *= _BETA2
-        np.multiply(1.0 - _BETA2, g, out=step)
-        step *= g
-        v += step
-        np.divide(m, bias1, out=step)       # m_hat
-        np.divide(v, bias2, out=denom)      # v_hat
-        np.sqrt(denom, out=denom)
-        denom += _ADAM_EPS
-        step /= denom
-        step *= learning_rate
-        np.subtract(values[lo:hi], step, out=out[lo:hi])
+    chunks = range(0, len(values), _ADAM_CHUNK)
+
+    def run(part: slice) -> None:
+        step_buf = np.empty(min(len(values), _ADAM_CHUNK))
+        denom_buf = np.empty_like(step_buf)
+        for lo in chunks[part]:
+            hi = min(lo + _ADAM_CHUNK, len(values))
+            g, m, v = grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
+            step, denom = step_buf[: hi - lo], denom_buf[: hi - lo]
+            m *= _BETA1
+            np.multiply(1.0 - _BETA1, g, out=step)
+            m += step
+            v *= _BETA2
+            np.multiply(1.0 - _BETA2, g, out=step)
+            step *= g
+            v += step
+            np.divide(m, bias1, out=step)       # m_hat
+            np.divide(v, bias2, out=denom)      # v_hat
+            np.sqrt(denom, out=denom)
+            denom += _ADAM_EPS
+            step /= denom
+            step *= learning_rate
+            np.subtract(values[lo:hi], step, out=out[lo:hi])
+
+    parallel.spread(run, _shares(len(chunks)))
     return out, state
 
 

@@ -1,0 +1,65 @@
+"""Row-independent work spread over the CPUs this process may run on.
+
+Each caller cuts its work into parts that write disjoint slices of their
+outputs, so results do not depend on the number of threads, and there is no
+setting for it. numpy releases the GIL inside its array operations and BLAS
+calls, so the parts run concurrently.
+"""
+
+from __future__ import annotations
+
+import contextvars
+import os
+from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
+
+# CPUs this process may run on: the most threads `spread` uses at once
+try:
+    WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:   # no sched_getaffinity on this platform
+    WORKERS = os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads numpy's BLAS runs one product on, read from the environment as
+    OpenBLAS reads it when numpy loads."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), WORKERS)
+    return WORKERS
+
+
+# read once, as BLAS does: a later change to the environment reaches neither
+BLAS_THREADS = _blas_threads()
+
+
+def spans(n: int) -> list[slice]:
+    """range(n) cut into min(WORKERS, n) contiguous slices whose lengths differ by at most 1."""
+    k = min(WORKERS, n)
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def spread(task: Callable, parts: Sequence) -> None:
+    """Call task(part) for every part, over at most WORKERS threads.
+
+    One worker or one part runs in the calling thread and starts no thread.
+    Otherwise the calling thread takes parts 0, workers, 2 * workers, ... and
+    workers - 1 helper threads the rest: each new thread's malloc arena keeps
+    its freed temporaries, so one thread fewer keeps peak memory lower. Each
+    helper task runs in a copy of the caller's context, so a caller's
+    ``np.errstate`` reaches it. The pool ends with the call, and a helper's
+    exception is re-raised here.
+    """
+    workers = min(WORKERS, len(parts))
+    if workers <= 1:
+        for part in parts:
+            task(part)
+        return
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helped = [pool.submit(contextvars.copy_context().run, task, part)
+                  for i, part in enumerate(parts) if i % workers]
+        for part in parts[::workers]:
+            task(part)
+        for f in helped:
+            f.result()

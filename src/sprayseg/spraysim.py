@@ -8,8 +8,6 @@ do not depend on the particular flux constant.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +15,7 @@ import numpy as np
 from .geometry import TriMesh, check_poses
 from .kvio import load_rows, save_rows
 from .objective import LossWeights, _chamfer
-
-# CPUs this process may run on: the number of threads _visible spreads over
-try:
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:   # no sched_getaffinity on this platform
-    _WORKERS = os.cpu_count() or 1
+from .parallel import spread
 
 
 @dataclass(frozen=True)
@@ -74,10 +67,9 @@ def _visible(origins: np.ndarray, targets: np.ndarray, dists: np.ndarray,
     are bit-identical to it: another order could move a ray that grazes an
     edge or vertex across one of the epsilons.
 
-    Chunks are independent and run concurrently on the CPUs available to the
-    process (``_WORKERS``; numpy releases the GIL inside its array operations).
-    Each chunk writes only its own slice of the result, so the flags do not
-    depend on the worker count, and there is no setting for it.
+    Chunks are independent and run concurrently (``parallel.spread``). Each
+    chunk writes only its own slice of the result, so the flags do not depend
+    on the worker count.
     """
     v0x, v0y, v0z = np.ascontiguousarray(tris[:, 0].T)
     e1x, e1y, e1z = np.ascontiguousarray((tris[:, 1] - tris[:, 0]).T)
@@ -124,22 +116,7 @@ def _visible(origins: np.ndarray, targets: np.ndarray, dists: np.ndarray,
                & (t > 1e-9) & (t < dists[lo + ri] * (1.0 - 1e-6)))
         out[lo + ri[hit]] = False
 
-    starts = range(0, len(targets), step)
-    workers = min(_WORKERS, len(starts))
-    if workers <= 1:
-        for lo in starts:
-            chunk(lo)
-        return out
-    # the calling thread takes every workers-th chunk and workers - 1 helpers
-    # the rest: each new thread's malloc arena keeps its freed temporaries, so
-    # one thread fewer keeps peak memory lower. result() re-raises a helper's
-    # exception
-    with ThreadPoolExecutor(workers - 1) as pool:
-        helped = [pool.submit(chunk, lo) for i, lo in enumerate(starts) if i % workers]
-        for lo in starts[::workers]:
-            chunk(lo)
-        for f in helped:
-            f.result()
+    spread(chunk, range(0, len(targets), step))
     return out
 
 

@@ -1,5 +1,8 @@
 """Shared fixtures and independent oracles used across the test modules."""
 
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -92,3 +95,32 @@ def min_gap(matrix):
         if finite.any():
             gaps.append((take[1] - take[0])[finite].min())
     return min(gaps) if gaps else np.inf
+
+
+def spread_over(monkeypatch, workers):
+    """Make `parallel.spread` use `workers` threads beside a one-thread BLAS;
+    returns the list to which every task handed to a helper thread is appended."""
+    from sprayseg import parallel
+
+    helped = []
+
+    class CountingPool(parallel.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            helped.append(args)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(parallel, "WORKERS", workers)
+    monkeypatch.setattr(parallel, "BLAS_THREADS", 1)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
+    return helped
+
+
+@contextlib.contextmanager
+def fast_switching():
+    """Switch threads as often as the interpreter allows inside the block."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)

@@ -10,6 +10,8 @@ import pytest
 from sprayseg import cli, spraysim, synthdata
 from sprayseg.cli import ExperimentConfig, load_config
 
+from conftest import spread_over
+
 
 def tiny_overrides(**extra):
     base = {
@@ -136,6 +138,19 @@ class TestTrainPredict:
         assert loss_lines[0] == "epoch,total,y2s,b2e"
         assert len(loss_lines) == 16
         assert (run_dir / "train_info.txt").exists()
+
+    def test_train_bytes_do_not_depend_on_worker_count(self, tiny_dataset, tmp_path,
+                                                        monkeypatch):
+        _, data = tiny_dataset
+        # 74k parameters, so 3 Adam chunks; minibatches of 2 samples
+        cfg = load_config(None, tiny_overrides(head_hidden="96", epochs=3, batch_size=2))
+        outputs = []
+        for workers in (1, 3):
+            helped = spread_over(monkeypatch, workers)
+            ckpt = cli.cmd_train(cfg, data, tmp_path / str(workers))
+            outputs.append((ckpt.read_bytes(), (ckpt.parent / "loss.csv").read_bytes()))
+            assert bool(helped) == (workers > 1)
+        assert outputs[1] == outputs[0]
 
     def test_fraction_subset(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset

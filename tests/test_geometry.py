@@ -91,6 +91,14 @@ class TestLoadMesh:
         with pytest.raises(MeshError, match="named_mesh.txt"):
             geometry.load_mesh(path)
 
+    @pytest.mark.parametrize("index", ["99999999999999999999", "-99999999999999999999",
+                                       "9223372036854775808", "-9223372036854775808"])
+    def test_face_index_beyond_int64_is_out_of_range(self, index, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 {index}\n")
+        with pytest.raises(MeshError, match="huge.txt: face index out of range"):
+            geometry.load_mesh(path)
+
     def test_save_load_roundtrip(self, cube_mesh_path, tmp_path):
         mesh, _ = geometry.load_mesh(cube_mesh_path)
         out = tmp_path / "copy.txt"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sprayseg import learner
+from sprayseg import learner, parallel
 from sprayseg.learner import (
     AdamState,
     ModelConfig,
@@ -18,7 +18,8 @@ from sprayseg.learner import (
 )
 from sprayseg.objective import LossWeights, total_loss
 
-from conftest import finite_difference_gradient, random_segments, relative_error
+from conftest import (fast_switching, finite_difference_gradient, random_segments,
+                      relative_error, spread_over)
 
 TINY = ModelConfig(input_points=8, lam=2, slots=2, latent_dim=5,
                    encoder_hidden=(6,), head_hidden=(7,))
@@ -259,6 +260,66 @@ class TestAdam:
             assert np.array_equal(state.m, want_state.m)
             assert np.array_equal(state.v, want_state.v)
         assert state.t == want_state.t == 40
+
+
+class TestWorkers:
+    """Samples and Adam chunks spread over threads: results do not depend on the count."""
+
+    # 3 workers is more threads than cores on a 2-core machine
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("points", [1, 7, 16])
+    def test_encode_batch_matches_serial_reference(self, workers, batch, points, monkeypatch):
+        cfg = ModelConfig(input_points=points, lam=2, slots=2, latent_dim=12,
+                          encoder_hidden=(10, 14), head_hidden=(7,))
+        params = init_params(cfg, 21)
+        first = (points + 1) // 2
+        half = np.random.default_rng(batch).normal(size=(batch, first, 3))
+        # each later point repeats one of the first half
+        clouds = np.concatenate([half, half], axis=1)[:, :points]
+        enc_chain, _ = learner._unpack(cfg, params.flat)
+        want_feat, want_caches = _mlp_forward_reference(enc_chain, clouds.reshape(-1, 3))
+        want_outs = [inp for inp, _ in want_caches[1:]] + [want_feat]
+        want_feat = want_feat.reshape(batch, points, 12)
+        helped = spread_over(monkeypatch, workers)
+        with fast_switching():
+            latent, cache = learner._encode_batch(params, clouds)
+        # one-point clouds run serially
+        assert len(helped) == (min(workers, batch) - 1 if points > 1 else 0)
+        assert np.array_equal(cache["amax"], want_feat.argmax(axis=1))
+        assert (cache["amax"] < first).all()   # a repeated maximum ties: the first index wins
+        assert np.array_equal(latent, want_feat.max(axis=1))
+        assert len(cache["enc_caches"]) == len(want_caches)
+        for (inp, z), (want_inp, _), want_z in zip(cache["enc_caches"], want_caches, want_outs):
+            assert np.array_equal(inp, want_inp)
+            assert np.array_equal(z, want_z)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_adam_matches_unchunked_reference(self, workers, monkeypatch):
+        n = 3 * learner._ADAM_CHUNK + 5   # 4 chunks
+        rng = np.random.default_rng(workers)
+        values = rng.normal(size=n)
+        want_values = values.copy()
+        state, want_state = AdamState.zeros(n), AdamState.zeros(n)
+        helped = spread_over(monkeypatch, workers)
+        for _ in range(10):
+            grad = rng.normal(scale=rng.uniform(1e-4, 10.0), size=n)
+            with fast_switching():
+                values, state = adam_step(values, grad, state, 1e-3)
+            want_values, want_state = _adam_reference(want_values, grad, want_state, 1e-3)
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(state.m, want_state.m)
+            assert np.array_equal(state.v, want_state.v)
+        assert len(helped) == 10 * (workers - 1)
+
+    def test_threaded_blas_keeps_training_on_one_thread(self, monkeypatch):
+        helped = spread_over(monkeypatch, 2)
+        monkeypatch.setattr(parallel, "BLAS_THREADS", 2)
+        params = init_params(TINY, 0)
+        learner._encode_batch(params, np.random.default_rng(0).normal(size=(4, 8, 3)))
+        n = 3 * learner._ADAM_CHUNK
+        adam_step(np.zeros(n), np.ones(n), AdamState.zeros(n), 1e-3)
+        assert helped == []
 
 
 def make_cuboid_samples(n, lam=4, overlap=1, points=64, budget=120, seed=0):

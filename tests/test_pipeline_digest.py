@@ -1,7 +1,10 @@
 """tools/pipeline_digest.py runs every command of its pipeline and digests the outputs."""
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "pipeline_digest.py"
@@ -47,3 +50,20 @@ def test_digest_covers_every_command_and_repeats(tmp_path, monkeypatch):
                     "eval_gt_concat", "sweep", "sweep_lambda", "sweep_overlap",
                     "run_pointwise", "run_warm", "data_cuboids", "run_multipath",
                     "eval_multipath"}
+
+
+def test_digest_pins_one_blas_thread_before_numpy_loads(tmp_path):
+    # README's contract: the digests do not depend on the calling shell's BLAS
+    # thread count. A stand-in sprayseg reports what the tool set before importing it.
+    package = tmp_path / "src" / "sprayseg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "import os, sys\n"
+        "print(*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS',"
+        " 'MKL_NUM_THREADS')), 'numpy' in sys.modules)\n"
+        "raise SystemExit\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+           "MKL_NUM_THREADS": "2"}
+    run = subprocess.run([sys.executable, str(TOOL), "--tree", str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["1", "1", "1", "False"]

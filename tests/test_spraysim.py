@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from sprayseg import spraysim, synthdata
+from sprayseg import parallel, spraysim, synthdata
 from sprayseg.geometry import TriMesh
 from sprayseg.objective import LossWeights
 from sprayseg.spraysim import (
@@ -202,13 +202,13 @@ class TestVisibleThreads:
     def test_worker_counts_match_reference(self, workers, helper_chunks, monkeypatch):
         submitted = []
 
-        class CountingPool(spraysim.ThreadPoolExecutor):
+        class CountingPool(parallel.ThreadPoolExecutor):
             def submit(self, fn, *args):
                 submitted.append(args)
                 return super().submit(fn, *args)
 
-        monkeypatch.setattr(spraysim, "_WORKERS", workers)
-        monkeypatch.setattr(spraysim, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
         soup = threaded_soup()
         want = _visible_reference(*soup)
         interval = sys.getswitchinterval()
@@ -226,25 +226,25 @@ class TestVisibleThreads:
         def refuse(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        monkeypatch.setattr(spraysim, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", refuse)
         origins, targets, dists, tris = threaded_soup()
-        monkeypatch.setattr(spraysim, "_WORKERS", 1)
+        monkeypatch.setattr(parallel, "WORKERS", 1)
         assert np.array_equal(_visible(origins, targets, dists, tris),
                               _visible_reference(origins, targets, dists, tris))
-        monkeypatch.setattr(spraysim, "_WORKERS", 2)
+        monkeypatch.setattr(parallel, "WORKERS", 2)
         few = slice(0, 100)   # exactly one chunk
         assert np.array_equal(_visible(origins[few], targets[few], dists[few], tris),
                               _visible_reference(origins[few], targets[few], dists[few], tris))
 
     def test_helper_exception_reaches_caller(self, monkeypatch):
-        class FailingPool(spraysim.ThreadPoolExecutor):
+        class FailingPool(parallel.ThreadPoolExecutor):
             def submit(self, fn, *args):
                 def fail(*_):
                     raise RuntimeError("helper chunk failed")
                 return super().submit(fail, *args)
 
-        monkeypatch.setattr(spraysim, "_WORKERS", 2)
-        monkeypatch.setattr(spraysim, "ThreadPoolExecutor", FailingPool)
+        monkeypatch.setattr(parallel, "WORKERS", 2)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", FailingPool)
         with pytest.raises(RuntimeError, match="helper chunk failed"):
             _visible(*threaded_soup())
 
@@ -254,8 +254,8 @@ def test_deposit_field_identical_to_reference_kernel(category, monkeypatch):
     rec = synthdata.generate_object(category, seed=0, face_grid=3)
     gun = SprayGunModel(cone_half_angle=np.deg2rad(45.0), max_range=0.5, flux=1.0)
     fields = []
-    for workers in (spraysim._WORKERS, 1):   # the default count, then serial
-        monkeypatch.setattr(spraysim, "_WORKERS", workers)
+    for workers in (parallel.WORKERS, 1):   # the default count, then serial
+        monkeypatch.setattr(parallel, "WORKERS", workers)
         fields.append(deposit(rec.mesh, rec.strokes, gun))
     monkeypatch.setattr(spraysim, "_visible", _visible_reference)
     reference = deposit(rec.mesh, rec.strokes, gun)
