@@ -184,6 +184,140 @@ class TestVisibleKernel:
         assert 0 < want.sum() < len(want)
 
 
+def unit(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def in_runs(rng, n):
+    """Row indices 0, 0, 1, 1, 1, 2, ... for n rays: runs of 1-5 rays that
+    share an origin, as deposit passes each pose's rays."""
+    return np.repeat(np.arange(n), rng.integers(1, 6, n))[:n]
+
+
+def assert_same_flags_both_ways(origins, targets, tris):
+    """The oracle match, with both occluded and visible rays present."""
+    want = assert_same_visibility(origins, targets, tris)
+    assert 0 < want.sum() < len(want)
+
+
+# the cut has to keep every pair the exact test can call a hit at any size
+SCALES = [1e-2, 1e-1, 1.0, 10.0]
+
+
+class TestVisibleCut:
+    """Rays built to sit where the plane-crossing cut could drop a hit: each
+    fails on the cut without its near-plane rule or with a tighter cut."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_grazing_rays_from_on_or_next_to_the_plane(self, scale):
+        # origins on a small face, on its plane or 1e-12 to 1e-9 off it; rays
+        # leave 1e-14 to 1e-2 rad off the plane, so the exact test's t is
+        # rounding, which can land inside the face
+        rng = np.random.default_rng(20)
+        centers = rng.uniform(-1.0, 1.0, size=(100, 1, 3))
+        tris = centers + rng.uniform(-0.1, 0.1, size=(100, 3, 3))
+        normal = unit(np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]))
+        face = np.repeat(np.arange(100), 12)
+        w = rng.dirichlet([1.0, 1.0, 1.0], size=len(face))
+        off = (rng.choice([0.0, 1.0], size=len(face))
+               * 10.0 ** rng.uniform(-12, -9, size=len(face)) * rng.choice([-1, 1], size=len(face)))
+        on_face = np.einsum("rk,rkd->rd", w, tris[face]) + off[:, None] * normal[face]
+        rows = in_runs(rng, len(face))
+        origins, face = on_face[rows], face[rows]
+        along = unit(np.cross(normal[face], rng.normal(size=(len(face), 3))))
+        angle = 10.0 ** rng.uniform(-14, -2, size=len(face)) * rng.choice([-1, 1], size=len(face))
+        dirs = np.cos(angle)[:, None] * along + np.sin(angle)[:, None] * normal[face]
+        targets = origins + rng.uniform(0.05, 0.4, size=(len(face), 1)) * dirs
+        assert_same_flags_both_ways(scale * origins, scale * targets, scale * tris)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_targets_on_axis_aligned_panels(self, scale):
+        # a floor z = 0 and a wall x = 0: every target is coplanar with one
+        # panel's 72 faces, and origins sit on, next to or off the planes
+        floor = plane_mesh(half=1.0, grid=6)
+        wall = TriMesh(floor.vertices[:, ::-1].copy(), floor.faces)
+        mesh = merge_meshes(floor, wall)
+        rng = np.random.default_rng(21)
+        targets = mesh.vertices[rng.integers(0, len(mesh.vertices), 500)]
+        height = (rng.choice([0.0, 1e-12, 1e-11, 1e-10, 1e-9, 0.3], size=500)
+                  * rng.choice([-1, 1], size=500))
+        spot = rng.uniform(-1.0, 1.0, size=(500, 2))
+        origins = np.where(rng.integers(0, 2, size=(500, 1)) == 0,
+                           np.c_[spot, height], np.c_[height, spot])
+        origins = origins[in_runs(rng, 500)]
+        assert_same_flags_both_ways(scale * origins, scale * targets, scale * mesh.triangles)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_crossing_fractions_at_the_cut_margins(self, scale):
+        # per face, one origin and six targets: the segment crosses the face at
+        # 1 - 1e-6 -+ 5e-7 and 1 - 1e-6 of its length (the exact test's t cut)
+        # and at 1 - 1e-9, 1 and 1 + 1e-9 (the plane cut's neighbourhood)
+        rng = np.random.default_rng(22)
+        fractions = np.array([1 - 1.5e-6, 1 - 1e-6, 1 - 0.5e-6, 1 - 1e-9, 1.0, 1 + 1e-9])
+        flags = []
+        for tri in rng.uniform(-1.0, 1.0, size=(150, 1, 3, 3)):
+            v0, e1, e2 = tri[0, 0], tri[0, 1] - tri[0, 0], tri[0, 2] - tri[0, 0]
+            w = rng.dirichlet([1.0, 1.0, 1.0])
+            aim = v0 + w[1] * e1 + w[2] * e2
+            lean = unit(np.cross(e1, e2)) + 0.5 * unit(rng.normal(size=3))
+            origin = aim + rng.uniform(0.05, 1.0) * rng.choice([-1, 1]) * lean
+            origins = np.tile(origin, (len(fractions), 1))
+            targets = origin + (aim - origin) / fractions[:, None]
+            flags.append(assert_same_visibility(scale * origins, scale * targets, scale * tri))
+        flags = np.array(flags)
+        assert not flags[:, 0].any() and flags[:, 3:].all()
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_sliver_faces(self, scale):
+        # faces 1e-9 to 1e-3 wide across their long edge: |e1 x e2| is far
+        # below |e1| |e2|; rays cross them at a slant, or start 1e-10 off them
+        rng = np.random.default_rng(23)
+        v0 = rng.uniform(-1.0, 1.0, size=(150, 3))
+        long = unit(rng.normal(size=(150, 3))) * rng.uniform(0.2, 1.0, size=(150, 1))
+        across = unit(np.cross(long, rng.normal(size=(150, 3))))
+        width = 10.0 ** rng.uniform(-9, -3, size=(150, 1))
+        tris = np.stack([v0, v0 + long,
+                         v0 + rng.uniform(0.2, 0.8, size=(150, 1)) * long + width * across], axis=1)
+        normal = unit(np.cross(long, across))
+        aims = np.einsum("rk,rkd->rd", rng.dirichlet([1.0, 1.0, 1.0], size=150), tris)
+        slant = unit(normal + 0.3 * rng.normal(size=(150, 3)))
+        origins = np.concatenate([aims + rng.uniform(0.1, 1.0, size=(150, 1)) * slant,
+                                  aims + 1e-10 * normal])
+        aims = np.concatenate([aims, aims + 1e-3 * rng.normal(size=(150, 3))])
+        targets = origins + 2.0 * (aims - origins)
+        assert_same_flags_both_ways(scale * origins, scale * targets, scale * tris)
+
+
+def runs_scene():
+    """500 faces and 700 rays from 100 origins, in runs of 7: chunks of 100
+    rays end inside runs."""
+    rng = np.random.default_rng(24)
+    centers = rng.uniform(-1.0, 1.0, size=(500, 1, 3)) * [1.0, 1.0, 0.3]
+    tris = centers + rng.uniform(-0.1, 0.1, size=(500, 3, 3))
+    origins = np.repeat(rng.uniform(-1.0, 1.0, size=(100, 3)) + [0.0, 0.0, 1.0], 7, axis=0)
+    targets = np.hstack([rng.uniform(-1.0, 1.0, size=(700, 2)), np.full((700, 1), -0.5)])
+    return origins, targets, tris
+
+
+class TestVisibleRayOrder:
+    """Any ray order gives the same flags, whether or not equal origins are adjacent."""
+
+    def test_run_spans_a_chunk_boundary(self):
+        origins, targets, tris = runs_scene()
+        assert np.array_equal(origins[99], origins[100])   # chunk 0 ends mid-run
+        assert_same_flags_both_ways(origins, targets, tris)
+
+    def test_permuted_rays(self):
+        origins, targets, tris = runs_scene()
+        dists = np.linalg.norm(targets - origins, axis=1)
+        flags = _visible(origins, targets, dists, tris)
+        order = np.random.default_rng(25).permutation(len(targets))
+        shuffled = _visible(origins[order], targets[order], dists[order], tris)
+        assert np.array_equal(shuffled, flags[order])
+        assert np.array_equal(flags, _visible_reference(origins, targets, dists, tris))
+        assert 0 < flags.sum() < len(flags)
+
+
 def threaded_soup():
     """Seeded soup of 500 faces and 1500 rays: 100 rays per chunk, 15 chunks."""
     rng = np.random.default_rng(11)
