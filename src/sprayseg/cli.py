@@ -195,12 +195,16 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> Path:
 def read_split(dataset_dir) -> tuple[list[str], list[str]]:
     path = Path(dataset_dir) / "split.txt"
     parts: dict[str, list[str]] = {"train": [], "test": []}
+    listed: set[str] = set()
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         tokens = line.split()
         if not tokens:
             continue
         if len(tokens) != 2 or tokens[1] not in parts:
             raise CliError(f"{path}:{lineno}: expected '<sample id> train|test'")
+        if tokens[0] in listed:
+            raise CliError(f"{path}:{lineno}: sample {tokens[0]!r} is listed twice")
+        listed.add(tokens[0])
         parts[tokens[1]].append(tokens[0])
     return sorted(parts["train"]), sorted(parts["test"])
 
@@ -209,12 +213,18 @@ def read_meta(dataset_dir) -> dict:
     path = Path(dataset_dir) / "meta.txt"
     meta = read_keyvalues(path)
     try:
-        return {"budget": int(meta["budget"]), "cloud_points": int(meta["cloud_points"]),
-                "scale_factor": float(meta["scale_factor"])}
+        values = {"budget": int(meta["budget"]), "cloud_points": int(meta["cloud_points"]),
+                  "scale_factor": float(meta["scale_factor"])}
     except KeyError as exc:
         raise CliError(f"{path}: missing key {exc}") from exc
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    for key in ("budget", "cloud_points"):
+        if values[key] < 1:
+            raise CliError(f"{path}: {key} must be >= 1, got {values[key]}")
+    if not 0.0 < values["scale_factor"] < np.inf:
+        raise CliError(f"{path}: scale_factor must be positive and finite")
+    return values
 
 
 def load_dataset_sample(dataset_dir, sid: str):

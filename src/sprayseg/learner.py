@@ -163,13 +163,6 @@ def _mlp_backward(chain, caches, grad_views, g_out: np.ndarray) -> np.ndarray:
     return g
 
 
-def _shares(n: int) -> list[slice]:
-    """range(n) cut for `parallel.spread`: whole when BLAS runs its products on
-    several threads, which keep the CPUs busy and spin between products, so
-    more threads would only compete with them."""
-    return parallel.spans(n) if parallel.BLAS_THREADS == 1 else [slice(0, n)]
-
-
 def _encode_batch(params: ModelParams, clouds: np.ndarray):
     """Clouds (B, P, 3) -> latents (B, latent_dim) via per-point MLP and channel max-pool.
 
@@ -191,7 +184,10 @@ def _encode_batch(params: ModelParams, clouds: np.ndarray):
         # first index wins on ties
         np.argmax(feat.reshape(-1, p, cfg.latent_dim), axis=1, out=amax[samples])
 
-    parallel.spread(share, _shares(b) if p > 1 else [slice(0, b)])
+    if p > 1:
+        parallel.spread(share, b)
+    else:
+        share(slice(0, b))
     feat = zs[-1].reshape(b, p, cfg.latent_dim)
     latent = np.take_along_axis(feat, amax[:, None, :], axis=1)[:, 0, :]
     return latent, {"enc_caches": enc_caches, "amax": amax, "points": p, "batch": b}
@@ -314,7 +310,7 @@ def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
             step *= learning_rate
             np.subtract(values[lo:hi], step, out=out[lo:hi])
 
-    parallel.spread(run, _shares(len(chunks)))
+    parallel.spread(run, len(chunks))
     return out, state
 
 

@@ -1,16 +1,16 @@
-"""Row-independent work spread over the CPUs this process may run on.
+"""Row-independent training work spread over the CPUs this process may run on.
 
-Each caller cuts its work into parts that write disjoint slices of their
-outputs, so results do not depend on the number of threads, and there is no
-setting for it. numpy releases the GIL inside its array operations and BLAS
-calls, so the parts run concurrently.
+`spread` cuts range(n) into contiguous parts, and each part's task writes only
+its own slices of the outputs, so results do not depend on the number of
+threads, and there is no setting for it. numpy releases the GIL inside its
+array operations and BLAS calls, so the parts run concurrently.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 # CPUs this process may run on: the most threads `spread` uses at once
@@ -40,26 +40,24 @@ def spans(n: int) -> list[slice]:
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
-def spread(task: Callable, parts: Sequence) -> None:
-    """Call task(part) for every part, over at most WORKERS threads.
+def spread(task: Callable[[slice], None], n: int) -> None:
+    """Call task(part) for each part of `spans(n)`, part 0 in the calling
+    thread and the rest in helper threads; or call task(slice(0, n)) alone
+    when BLAS runs its products on several threads, which keep the CPUs busy
+    and spin between products, so more threads would only compete with them.
 
-    One worker or one part runs in the calling thread and starts no thread.
-    Otherwise the calling thread takes parts 0, workers, 2 * workers, ... and
-    workers - 1 helper threads the rest: each new thread's malloc arena keeps
-    its freed temporaries, so one thread fewer keeps peak memory lower. Each
-    helper task runs in a copy of the caller's context, so a caller's
-    ``np.errstate`` reaches it. The pool ends with the call, and a helper's
-    exception is re-raised here.
+    One part starts no thread. Each helper task runs in a copy of the caller's
+    context, so a caller's ``np.errstate`` reaches it. The pool ends with the
+    call, and a helper's exception is re-raised here.
     """
-    workers = min(WORKERS, len(parts))
-    if workers <= 1:
+    parts = spans(n) if BLAS_THREADS == 1 else [slice(0, n)]
+    if len(parts) <= 1:
         for part in parts:
             task(part)
         return
-    with ThreadPoolExecutor(workers - 1) as pool:
+    with ThreadPoolExecutor(len(parts) - 1) as pool:
         helped = [pool.submit(contextvars.copy_context().run, task, part)
-                  for i, part in enumerate(parts) if i % workers]
-        for part in parts[::workers]:
-            task(part)
+                  for part in parts[1:]]
+        task(parts[0])
         for f in helped:
             f.result()

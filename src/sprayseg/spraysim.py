@@ -15,7 +15,6 @@ import numpy as np
 from .geometry import TriMesh, check_poses
 from .kvio import load_rows, save_rows
 from .objective import LossWeights, _chamfer
-from .parallel import spread
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,6 @@ def _visible(origins: np.ndarray, targets: np.ndarray, dists: np.ndarray,
     hence the paint fields, are bit-identical to it: another order could move
     a ray that grazes an edge or vertex across one of the epsilons. No step
     calls BLAS.
-
-    Chunks are independent and run concurrently (``parallel.spread``). Each
-    chunk writes only its own slice of the result, so the flags do not depend
-    on the worker count.
     """
     v0x, v0y, v0z = np.ascontiguousarray(tris[:, 0].T)
     e1x, e1y, e1z = np.ascontiguousarray((tris[:, 1] - tris[:, 0]).T)
@@ -114,10 +109,10 @@ def _visible(origins: np.ndarray, targets: np.ndarray, dists: np.ndarray,
     run = np.cumsum(new_run) - 1
     # chunk rays so each (rays x faces) intermediate stays near cache size
     # (~0.4 MB): in a ground-truth evaluate, chunks of 25k, 100k and 200k
-    # pairs were slower on one worker and on two
+    # pairs were slower on one worker
     step = max(1, int(50_000 / faces))
 
-    def chunk(lo: int) -> None:
+    for lo in range(0, len(targets), step):
         hi = min(lo + step, len(targets))
         org = origins[lo:hi]
         seg = targets[lo:hi] - org
@@ -130,7 +125,7 @@ def _visible(origins: np.ndarray, targets: np.ndarray, dists: np.ndarray,
         c *= side[runs]
         pair = np.flatnonzero(c < bound[runs])
         if len(pair) == 0:
-            return
+            continue
         ri = pair // faces
         fi = pair - ri * faces
         dirs = seg / dists[lo:hi, None]
@@ -167,8 +162,6 @@ def _visible(origins: np.ndarray, targets: np.ndarray, dists: np.ndarray,
         hit = (valid & (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1.0 + 1e-12)
                & (t > 1e-9) & (t < dists[lo + ri] * (1.0 - 1e-6)))
         out[lo + ri[hit]] = False
-
-    spread(chunk, range(0, len(targets), step))
     return out
 
 

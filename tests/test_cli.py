@@ -1,7 +1,9 @@
 import builtins
 import errno
 import io
+import itertools
 import os
+import re
 import shutil
 
 import numpy as np
@@ -491,7 +493,12 @@ class TestMainEntry:
         ("meta.txt", lambda text: text.replace("budget = 96", "budget = 4x0")),
         ("split.txt", lambda text: text.replace(" train\n", "\n", 1)),
         ("split.txt", lambda text: text.replace(" train\n", " tset\n", 1)),
-    ], ids=["missing_budget", "bad_budget", "missing_label", "unknown_label"])
+        ("split.txt", lambda text: text + text.split()[0] + " test\n"),
+        ("meta.txt", lambda text: re.sub(r"scale_factor = .*", "scale_factor = nan", text)),
+        ("meta.txt", lambda text: text.replace("cloud_points = 48", "cloud_points = 0")),
+        ("meta.txt", lambda text: text.replace("budget = 96", "budget = 0")),
+    ], ids=["missing_budget", "bad_budget", "missing_label", "unknown_label", "duplicate_id",
+            "nan_scale_factor", "zero_cloud_points", "zero_budget"])
     def test_bad_dataset_metadata_fails_naming_the_file(self, tiny_dataset, tmp_path,
                                                         file, edit, capsys):
         _, data = tiny_dataset
@@ -500,10 +507,17 @@ class TestMainEntry:
         path = copy / file
         before = path.read_text()
         path.write_text(edit(before))
-        assert path.read_text() != before
+        after = path.read_text()
+        assert after != before
         argv = ["train", "--dataset", str(copy), "--epochs", "1", "--out", str(tmp_path / "r")]
         assert cli.main(argv) == 1
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err
+        if file == "split.txt":   # the first edited line is the one at fault
+            lineno = next(i for i, (old, new) in enumerate(
+                itertools.zip_longest(before.splitlines(), after.splitlines()), start=1)
+                if old != new)
+            assert f"{path}:{lineno}:" in err
 
     def test_diverging_training_fails_naming_the_epoch(self, tiny_dataset, tmp_path, capsys):
         _, data = tiny_dataset

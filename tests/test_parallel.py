@@ -37,23 +37,26 @@ def test_blas_threads_read_as_openblas_reads_them(env, threads, monkeypatch):
 
 
 def record_threads(monkeypatch, workers):
-    """spread over `workers` threads; returns {part: thread id} as tasks record it."""
+    """spread over `workers` threads beside a one-thread BLAS; returns a task and
+    the list of (part, thread id) to which it appends."""
     monkeypatch.setattr(parallel, "WORKERS", workers)
-    ran = {}
+    monkeypatch.setattr(parallel, "BLAS_THREADS", 1)
+    ran = []
 
     def task(part):
-        ran[part] = threading.get_ident()
+        ran.append((part, threading.get_ident()))
     return task, ran
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_caller_takes_every_workers_th_part(workers, monkeypatch):
+def test_spans_in_order_and_caller_takes_part_0(workers, monkeypatch):
     task, ran = record_threads(monkeypatch, workers)
     before = threading.active_count()
-    parallel.spread(task, range(7))
-    assert sorted(ran) == list(range(7))
+    parallel.spread(task, 7)
+    ran.sort(key=lambda r: r[0].start)
+    assert [part for part, _ in ran] == parallel.spans(7)
     caller = threading.get_ident()
-    assert [p for p in range(7) if ran[p] == caller] == list(range(0, 7, workers))
+    assert [i for i, (_, thread) in enumerate(ran) if thread == caller] == [0]
     assert threading.active_count() == before   # the pool ended with the call
 
 
@@ -63,23 +66,26 @@ def test_one_worker_or_one_part_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", refuse)
     task, ran = record_threads(monkeypatch, 1)
-    parallel.spread(task, range(3))
+    parallel.spread(task, 3)
     monkeypatch.setattr(parallel, "WORKERS", 4)
-    parallel.spread(task, [3])
-    parallel.spread(task, [])
-    assert set(ran) == {0, 1, 2, 3}
-    assert set(ran.values()) == {threading.get_ident()}
+    parallel.spread(task, 1)
+    parallel.spread(task, 0)
+    monkeypatch.setattr(parallel, "BLAS_THREADS", 2)   # BLAS keeps the CPUs busy
+    parallel.spread(task, 5)
+    assert [part for part, _ in ran] == [slice(0, 3), slice(0, 1), slice(0, 5)]
+    assert {thread for _, thread in ran} == {threading.get_ident()}
 
 
 def test_helper_exception_reaches_caller(monkeypatch):
     monkeypatch.setattr(parallel, "WORKERS", 2)
+    monkeypatch.setattr(parallel, "BLAS_THREADS", 1)
 
     def task(part):
-        if part == 1:
+        if part.start > 0:
             raise RuntimeError("helper part failed")
 
     with pytest.raises(RuntimeError, match="helper part failed"):
-        parallel.spread(task, range(2))
+        parallel.spread(task, 2)
 
 
 def test_helpers_keep_the_callers_errstate(monkeypatch):
@@ -89,11 +95,11 @@ def test_helpers_keep_the_callers_errstate(monkeypatch):
 
     def overflow(part):
         task(part)
-        if part % 2:   # parts 1 and 3, which the helper runs
+        if part.start > 0:   # rows 2 and 3, which the helper runs
             np.full(4, 1e308) * 10.0
 
     with np.errstate(over="ignore"):
-        parallel.spread(overflow, range(4))
-    assert ran[1] == ran[3] != threading.get_ident()
+        parallel.spread(overflow, 4)
+    assert dict((part.start, thread) for part, thread in ran)[2] != threading.get_ident()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        parallel.spread(overflow, range(4))
+        parallel.spread(overflow, 4)
