@@ -246,14 +246,10 @@ def _multipath_shape(train_strokes, budget) -> tuple[int, int]:
 
 
 def build_model_config(cfg: ExperimentConfig, train_strokes, meta: dict) -> ModelConfig:
-    if cfg.mode == "pointwise":
-        lam, overlap = 1, 0
-        slots = synthdata.output_slot_count(meta["budget"], lam, overlap)
-    elif cfg.mode == "multipath_regression":
+    if cfg.mode == "multipath_regression":
         slots, lam = _multipath_shape(train_strokes, meta["budget"])
-        overlap = 0
     else:
-        lam, overlap = cfg.lam, cfg.overlap
+        lam, overlap = (1, 0) if cfg.mode == "pointwise" else (cfg.lam, cfg.overlap)
         slots = synthdata.output_slot_count(meta["budget"], lam, overlap)
     return ModelConfig(input_points=meta["cloud_points"], lam=lam, slots=slots,
                        latent_dim=cfg.latent_dim, encoder_hidden=cfg.encoder_hidden,
@@ -277,8 +273,6 @@ def build_training_samples(cfg: ExperimentConfig, clouds_and_strokes,
 
 
 def _select_fraction(ids: list[str], fraction: float, seed: int) -> list[str]:
-    if fraction == 1.0:
-        return list(ids)
     n = max(1, int(round(fraction * len(ids))))
     order = np.random.default_rng([19, seed]).permutation(len(ids))
     return sorted(ids[i] for i in order[:n])

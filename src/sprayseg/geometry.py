@@ -156,9 +156,9 @@ def load_point_cloud(path) -> np.ndarray:
 def _conflict_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Every pair of candidates closer than `radius` in neighbouring grid cells.
 
-    Returns (later, earlier) index arrays with later > earlier. A pair conflicts when its
-    `np.floor(points / radius)` cells are at most 1 apart on each axis and `d @ d < radius**2`,
-    d being the earlier point minus the later one.
+    Returns (later, earlier) index arrays with later > earlier; a pair may repeat once cell
+    keys wrap. A pair conflicts when its `np.floor(points / radius)` cells are at most 1
+    apart on each axis and `d @ d < radius**2`, d being the earlier point minus the later one.
     """
     m = len(points)
     r2 = radius * radius
@@ -190,7 +190,8 @@ def _conflict_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.n
     sorted_points = points[order]
     diff = np.take(sorted_points, b, axis=0) - np.take(sorted_points, a, axis=0)
     d2 = (diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]) + diff[:, 2] * diff[:, 2]
-    close = d2 < r2
+    # once keys wrap, an offset may land on a candidate's own cell: drop it paired with itself
+    close = (d2 < r2) & (a != b)
     # `d @ d` may round differently from d2, so it decides the values this near r2
     for k in np.flatnonzero(np.abs(d2 - r2) <= 1e-9 * r2):
         j, i = sorted((order[a[k]], order[b[k]]))
@@ -261,13 +262,10 @@ def sample_point_cloud(mesh: TriMesh, n: int, seed: int, return_faces: bool = Fa
     tri = mesh.triangles[fidx]
     pts = tri[:, 0] + uv[:, :1] * (tri[:, 1] - tri[:, 0]) + uv[:, 1:] * (tri[:, 2] - tri[:, 0])
     kept = _greedy_thin(pts, 0.7 * np.sqrt(total_area / n), n)
-    if len(kept) < n:
-        chosen = np.zeros(m, dtype=bool)
-        chosen[kept] = True
-        fill = np.nonzero(~chosen)[0][: n - len(kept)]
-        sel = np.concatenate([np.array(kept, dtype=np.int64), fill])
-    else:
-        sel = np.array(kept[:n], dtype=np.int64)
+    chosen = np.zeros(m, dtype=bool)
+    chosen[kept] = True
+    fill = np.nonzero(~chosen)[0][: n - len(kept)]
+    sel = np.concatenate([np.array(kept, dtype=np.int64), fill])
     if return_faces:
         return pts[sel], fidx[sel]
     return pts[sel]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import parallel
 from .kvio import write_file
-from .objective import LossWeights, total_loss
+from .objective import LossWeights, regression_loss, total_loss
 
 MODES = ("segments", "pointwise", "multipath_regression")
 
@@ -344,9 +344,9 @@ def train(samples: list[TrainingSample], model_config: ModelConfig,
           require_coverage: bool = True) -> tuple[ModelParams, np.ndarray]:
     """Train with Adam; returns final params and per-epoch (total, y2s, b2e) history.
 
-    Segment and pointwise modes optimize the Chamfer + attraction objective
-    against per-sample target sets; multipath mode regresses a fixed-size
-    target array with per-pose weighted squared error. Deterministic per seed.
+    Segment and pointwise modes optimize `objective.total_loss` against
+    per-sample target sets; multipath mode regresses a fixed-size target array
+    with `objective.regression_loss`. Deterministic per seed.
     Raises ValueError naming the first epoch (as numbered in the history) whose
     mean loss or updated parameters are non-finite.
     """
@@ -372,7 +372,7 @@ def train(samples: list[TrainingSample], model_config: ModelConfig,
     else:
         params = init_params(cfg, train_config.seed)
     weights = train_config.weights
-    wvec = weights.vector()
+    loss = regression_loss if cfg.mode == "multipath_regression" else total_loss
     state = AdamState.zeros(len(params.flat))
     rng = np.random.default_rng([13, train_config.seed])
     n = len(samples)
@@ -386,17 +386,9 @@ def train(samples: list[TrainingSample], model_config: ModelConfig,
             segs, cache = _forward_batch(params, clouds[idx])
             grad_out = np.empty_like(segs)
             for bi, si in enumerate(idx):
-                if cfg.mode == "multipath_regression":
-                    diff = segs[bi] - targets[si]
-                    denom = cfg.slots * cfg.lam
-                    value = float((wvec * diff * diff).sum() / denom)
-                    grad = (2.0 / denom) * wvec * diff
-                    epoch_losses.append((value, value, 0.0))
-                    grad_out[bi] = grad / len(idx)
-                else:
-                    rep = total_loss(segs[bi], targets[si], weights)
-                    epoch_losses.append((rep.total, rep.y2s, rep.b2e))
-                    grad_out[bi] = rep.gradient.reshape(cfg.slots, cfg.lam, 6) / len(idx)
+                rep = loss(segs[bi], targets[si], weights)
+                epoch_losses.append((rep.total, rep.y2s, rep.b2e))
+                grad_out[bi] = rep.gradient.reshape(cfg.slots, cfg.lam, 6) / len(idx)
             gflat = _backward_batch(params, cache, grad_out)
             params.flat, state = adam_step(params.flat, gflat, state,
                                            train_config.learning_rate)

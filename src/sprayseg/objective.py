@@ -1,11 +1,13 @@
-"""Training losses over predicted segment sets, with analytic gradients.
+"""Every training loss over predicted segment sets, with analytic gradients.
 
-Two terms: a symmetric set-to-set Chamfer distance between predicted and
-reference segments, and an attraction term pulling each predicted segment's
-begin pose toward some other segment's end pose (and vice versa). Pose
-differences weight the orientation components separately from the positions;
-for unit vectors the squared orientation difference equals 2 - 2 cos(angle),
-so it penalizes by cosine similarity.
+Segment and pointwise training use two terms: a symmetric set-to-set Chamfer
+distance between predicted and reference segments, and an attraction term
+pulling each predicted segment's begin pose toward some other segment's end
+pose (and vice versa). Multipath training regresses a fixed-size pose array
+with per-pose weighted squared error. Pose differences weight the orientation
+components separately from the positions; for unit vectors the squared
+orientation difference equals 2 - 2 cos(angle), so it penalizes by cosine
+similarity. Nearest neighbours are found on one pairwise-distance form.
 """
 
 from __future__ import annotations
@@ -13,12 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Above this many scalar entries the pairwise distance matrix is built with the
-# |a|^2 + |b|^2 - 2ab expansion instead of explicit differences; selected
-# distances are always recomputed exactly.
-_DIRECT_LIMIT = 50_000
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -56,12 +52,11 @@ def weighted_pose_distance(a: np.ndarray, b: np.ndarray, weights: LossWeights) -
 
 
 def _sq_dist_matrix(aw: np.ndarray, bw: np.ndarray) -> np.ndarray:
-    """All pairwise squared distances between rows; approximate only above _DIRECT_LIMIT."""
-    n, d = aw.shape
-    m = bw.shape[0]
-    if n * m * d <= _DIRECT_LIMIT:
-        diff = aw[:, None, :] - bw[None, :, :]
-        return np.einsum("nmd,nmd->nm", diff, diff)
+    """All pairwise squared distances between rows, by the |a|^2 + |b|^2 - 2ab expansion.
+
+    The values are approximate, good for choosing nearest neighbours; callers
+    recompute the distances they select from explicit differences.
+    """
     sq = (aw * aw).sum(axis=1)[:, None] + (bw * bw).sum(axis=1)[None, :] - 2.0 * aw @ bw.T
     return np.maximum(sq, 0.0)
 
@@ -151,3 +146,21 @@ def total_loss(pred: np.ndarray, target: np.ndarray, weights: LossWeights) -> Lo
     grad = g_y2s + weights.alpha * g_b2e
     return LossReport(total=y2s + weights.alpha * b2e, y2s=y2s, b2e=b2e,
                       gradient=grad.ravel())
+
+
+def regression_loss(pred: np.ndarray, target: np.ndarray, weights: LossWeights) -> LossReport:
+    """Multipath objective: weighted squared error of aligned poses, averaged over them.
+
+    `pred` and `target` are (slots, lam, 6) arrays compared pose for pose; the
+    report carries the error as both `total` and `y2s`, with `b2e` = 0.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.ndim != 3 or pred.shape[2] != 6 or pred.shape != target.shape:
+        raise ValueError("pose arrays must form equal (slots, lam, 6) shapes")
+    wvec = weights.vector()
+    slots, lam = pred.shape[:2]
+    diff = pred - target
+    value = float((wvec * diff * diff).sum() / (slots * lam))
+    grad = (2.0 / (slots * lam)) * wvec * diff
+    return LossReport(total=value, y2s=value, b2e=0.0, gradient=grad.ravel())

@@ -240,6 +240,9 @@ class TestGreedyThin:
         # 2**32 cells along y and z: the int64 keys wrap and ignore x, so far cells share a key
         points = np.array([[0.0, 0, 0], [0, 2**32 - 3, 2**32 - 3], [1e6, 0, 0.5],
                            [1e6, 0.5, 0], [0.5, 0, 0], [2e6, 0.2, 0.2]])
+        later, earlier = geometry._conflict_pairs(points, 1.0)
+        assert (later > earlier).all()
+        assert set(zip(later.tolist(), earlier.tolist())) == {(4, 0), (3, 2)}
         assert thin_checked(points, 1.0) == [0, 1, 2, 5]
 
 

@@ -5,6 +5,7 @@ from sprayseg.objective import (
     LossWeights,
     attraction_loss,
     chamfer_segments,
+    regression_loss,
     total_loss,
     weighted_pose_distance,
 )
@@ -103,6 +104,19 @@ class TestChamfer:
         with pytest.raises(ValueError):
             chamfer_segments(np.zeros((0, 2, 6)), np.zeros((1, 2, 6)), W)
 
+    def test_ties_resolve_to_the_lowest_index(self):
+        # Every coordinate is a multiple of 0.5, so the distances are exact and the ties real.
+        # Targets 1 and 2 are equal, so prediction 1 is tied between them; either choice gives
+        # the same difference. Predictions 0 and 2 are equal, so target 0 is tied between them,
+        # and its backward gradient must land on prediction 0 alone.
+        pred = np.stack([pose(0, 0, 0), pose(4, 0, 0), pose(0, 0, 0)])[:, None]
+        target = np.stack([pose(1, 0, 0), pose(3, 0, 0), pose(3, 0, 0)])[:, None]
+        loss, grad = chamfer_segments(pred, target, W)
+        assert loss == pytest.approx(2.0, rel=1e-15)
+        want = np.zeros_like(pred)
+        want[:, 0, 0] = [-4.0 / 3.0, 2.0, -2.0 / 3.0]
+        assert np.allclose(grad, want, rtol=0, atol=1e-15)
+
 
 class TestAttraction:
     def test_closed_chain_is_zero(self):
@@ -180,6 +194,15 @@ class TestGradients:
                 lambda x: total_loss(x, target, W).total, pred.copy())
             assert relative_error(report.gradient, numeric.ravel()) < 1e-4
 
+    def test_regression_gradient(self):
+        for seed in range(300, 310):
+            pred, target = stable_instance(seed, n_target=4)
+            report = regression_loss(pred, target, W)
+            numeric = finite_difference_gradient(
+                lambda x: regression_loss(x, target, W).total, pred.copy())
+            assert relative_error(report.gradient, numeric.ravel()) < 1e-4
+            assert report.y2s == report.total and report.b2e == 0.0
+
 
 class TestTotal:
     def test_identical_closed_chain(self):
@@ -213,6 +236,10 @@ class TestTotal:
             target = random_segments(rng, 4, 2)
             report = total_loss(pred, target, W)
             assert report.total >= 0.0 and report.y2s >= 0.0 and report.b2e >= 0.0
+
+    def test_regression_needs_aligned_arrays(self):
+        with pytest.raises(ValueError):
+            regression_loss(np.zeros((2, 3, 6)), np.zeros((3, 3, 6)), W)
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):

@@ -56,7 +56,7 @@ def _visible_reference(origins, targets, dists, tris):
     e1 = tris[:, 1] - v0
     e2 = tris[:, 2] - v0
     out = np.ones(len(targets), dtype=bool)
-    step = max(1, int(2_000_000 / max(len(tris), 1)))
+    step = max(1, int(200_000 / max(len(tris), 1)))
     for lo in range(0, len(targets), step):
         hi = lo + step
         dirs = (targets[lo:hi] - origins[lo:hi]) / dists[lo:hi, None]
