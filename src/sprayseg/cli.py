@@ -237,17 +237,10 @@ def load_dataset_sample(dataset_dir, sid: str):
     return mesh, cloud, strokes
 
 
-def _multipath_shape(train_strokes, budget) -> tuple[int, int]:
-    counts = {len(strokes) for strokes in train_strokes}
-    if len(counts) != 1:
-        raise CliError("multipath_regression needs a uniform stroke count per sample")
-    n_strokes = counts.pop()
-    return n_strokes, min(budget // n_strokes, *(len(s) for ss in train_strokes for s in ss))
-
-
 def build_model_config(cfg: ExperimentConfig, train_strokes, meta: dict) -> ModelConfig:
     if cfg.mode == "multipath_regression":
-        slots, lam = _multipath_shape(train_strokes, meta["budget"])
+        slots = len(train_strokes[0])   # uniform: cmd_train checks each sample
+        lam = min(meta["budget"] // slots, *(len(s) for ss in train_strokes for s in ss))
     else:
         lam, overlap = (1, 0) if cfg.mode == "pointwise" else (cfg.lam, cfg.overlap)
         slots = synthdata.output_slot_count(meta["budget"], lam, overlap)
@@ -256,10 +249,11 @@ def build_model_config(cfg: ExperimentConfig, train_strokes, meta: dict) -> Mode
                        head_hidden=cfg.head_hidden, mode=cfg.mode)
 
 
-def build_training_samples(cfg: ExperimentConfig, clouds_and_strokes,
+def build_training_samples(cfg: ExperimentConfig, loaded,
                            model_cfg: ModelConfig, meta: dict) -> list[TrainingSample]:
+    """Normalized samples from (strokes path, cloud, strokes) triples."""
     samples = []
-    for cloud, strokes in clouds_and_strokes:
+    for path, cloud, strokes in loaded:
         ncloud, nstrokes, _ = geometry.normalize(cloud, strokes, meta["scale_factor"])
         if model_cfg.mode == "multipath_regression":
             target = np.stack([
@@ -267,7 +261,10 @@ def build_training_samples(cfg: ExperimentConfig, clouds_and_strokes,
                 for s in nstrokes])
         else:
             overlap = 0 if model_cfg.mode == "pointwise" else cfg.overlap
-            target = synthdata.decompose_segments(nstrokes, model_cfg.lam, overlap)
+            try:
+                target = synthdata.decompose_segments(nstrokes, model_cfg.lam, overlap)
+            except ValueError as exc:
+                raise CliError(f"{path}: {exc}") from exc
         samples.append(TrainingSample(cloud=ncloud, target=target))
     return samples
 
@@ -282,17 +279,31 @@ def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
               pretrained=None, model_cfg: ModelConfig | None = None) -> Path:
     """Train on the dataset's train split; write checkpoint, loss CSV, run info.
 
-    A given `model_cfg` pins the slot count, so targets may have more segments
-    than there are slots; otherwise every target must fit the slots.
+    Each training sample holds at most `meta.txt`'s `budget` poses, so its targets
+    fit the slots built from that budget; a given `model_cfg` (the overlap sweep)
+    may face more target segments than slots.
     """
     out_dir = Path(out_dir)
     train_ids, _ = read_split(dataset_dir)
+    if not train_ids:
+        raise CliError(f"{Path(dataset_dir) / 'split.txt'}: no sample is labelled train")
     train_ids = _select_fraction(train_ids, cfg.fraction, cfg.seed)
     meta = read_meta(dataset_dir)
-    loaded = [load_dataset_sample(dataset_dir, sid)[1:] for sid in train_ids]
-    require_coverage = model_cfg is None
-    if require_coverage:
-        model_cfg = build_model_config(cfg, [strokes for _, strokes in loaded], meta)
+    loaded = []
+    for sid in train_ids:
+        _, cloud, strokes = load_dataset_sample(dataset_dir, sid)
+        path = Path(dataset_dir) / "samples" / sid / "strokes.txt"
+        poses = sum(len(s) for s in strokes)
+        if poses > meta["budget"]:
+            raise CliError(f"{path}: {poses} poses exceed the budget of {meta['budget']} "
+                           f"in {Path(dataset_dir) / 'meta.txt'}")
+        first = loaded[0] if loaded else (path, cloud, strokes)
+        if cfg.mode == "multipath_regression" and len(strokes) != len(first[2]):
+            raise CliError(f"{path}: {len(strokes)} strokes, {len(first[2])} in {first[0]}; "
+                           "multipath_regression needs a uniform stroke count per sample")
+        loaded.append((path, cloud, strokes))
+    if model_cfg is None:
+        model_cfg = build_model_config(cfg, [strokes for _, _, strokes in loaded], meta)
     samples = build_training_samples(cfg, loaded, model_cfg, meta)
     initial = None
     if pretrained is not None:
@@ -300,8 +311,7 @@ def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
         if initial.config != model_cfg:
             raise CliError("pretrained checkpoint does not match the model shape "
                            "this dataset/config produces")
-    params, history = train(samples, model_cfg, cfg.train_config(),
-                            initial=initial, require_coverage=require_coverage)
+    params, history = train(samples, model_cfg, cfg.train_config(), initial=initial)
     save_checkpoint(out_dir / "checkpoint.ckpt", params)
     write_file(out_dir / "loss.csv", "epoch,total,y2s,b2e\n" + format_rows(
         [(i, *losses) for i, losses in enumerate(history.tolist())], "dfff", sep=","))
@@ -313,12 +323,15 @@ def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
 
 
 def cmd_predict(cfg: ExperimentConfig, checkpoint, dataset_dir, out_dir, ids=None) -> Path:
+    """Predict the listed samples (default: the test split) into `out_dir`."""
     out_dir = Path(out_dir)
     params = load_checkpoint(checkpoint)
-    if ids is None:
-        _, ids = read_split(dataset_dir)
+    train_ids, test_ids = read_split(dataset_dir)
+    for sid in ids or ():
+        if sid not in train_ids + test_ids:
+            raise CliError(f"sample id {sid!r} is not listed in {Path(dataset_dir) / 'split.txt'}")
     scale = read_meta(dataset_dir)["scale_factor"]
-    for sid in ids:
+    for sid in test_ids if ids is None else ids:
         _, cloud, _ = load_dataset_sample(dataset_dir, sid)
         ncloud, _, tf = geometry.normalize(cloud, [], scale)
         synthdata.save_strokes(geometry.denormalize(predict(params, ncloud), tf),
@@ -366,8 +379,6 @@ class MetricsRow:
     def __post_init__(self) -> None:
         if not np.isfinite(self.pcd):
             raise ValueError(f"{self.sample_id}: non-finite pcd {self.pcd}")
-        if not 0.0 <= self.pc <= 100.0:
-            raise ValueError("pc must lie in [0, 100]")
 
 
 def evaluate_sample(cfg: ExperimentConfig, dataset_dir, sid: str,

@@ -114,8 +114,6 @@ def load_mesh(path) -> tuple[TriMesh, int]:
                 raise ValueError(f"unknown record {tag!r}")
         except ValueError as exc:
             raise MeshError(f"{path}:{lineno}: {exc}") from exc
-    if not verts or not faces:
-        raise MeshError(f"{path}: mesh has no vertices or no faces")
     try:
         mesh = TriMesh(np.array(verts), np.array(faces))
     except MeshError as exc:

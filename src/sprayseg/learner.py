@@ -340,13 +340,15 @@ class TrainingSample:
 
 
 def train(samples: list[TrainingSample], model_config: ModelConfig,
-          train_config: TrainConfig, initial: ModelParams | None = None,
-          require_coverage: bool = True) -> tuple[ModelParams, np.ndarray]:
+          train_config: TrainConfig,
+          initial: ModelParams | None = None) -> tuple[ModelParams, np.ndarray]:
     """Train with Adam; returns final params and per-epoch (total, y2s, b2e) history.
 
     Segment and pointwise modes optimize `objective.total_loss` against
-    per-sample target sets; multipath mode regresses a fixed-size target array
-    with `objective.regression_loss`. Deterministic per seed.
+    per-sample target sets of any size: the Chamfer loss matches more targets
+    than slots as well as fewer. Multipath mode regresses a fixed-size target
+    array with `objective.regression_loss`, which rejects a target that is not
+    (slots, lam, 6). Deterministic per seed.
     Raises ValueError naming the first epoch (as numbered in the history) whose
     mean loss or updated parameters are non-finite.
     """
@@ -359,11 +361,6 @@ def train(samples: list[TrainingSample], model_config: ModelConfig,
         t = np.asarray(s.target, dtype=np.float64)
         if t.ndim != 3 or t.shape[1] != cfg.lam or t.shape[2] != 6 or len(t) == 0:
             raise ValueError("target must be a non-empty (K, lam, 6) array")
-        if cfg.mode == "multipath_regression" and t.shape[0] != cfg.slots:
-            raise ValueError("multipath mode needs exactly `slots` target strokes")
-        if cfg.mode != "multipath_regression" and require_coverage and len(t) > cfg.slots:
-            raise ValueError(f"sample has {len(t)} target segments but only "
-                             f"{cfg.slots} output slots")
         targets.append(t)
     if initial is not None:
         if initial.config != cfg:

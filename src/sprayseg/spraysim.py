@@ -41,12 +41,6 @@ class CoverageReport:
     pred_covered_of_gt: int
     pc: float
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.pred_covered_of_gt <= self.gt_covered:
-            raise ValueError("covered counts are inconsistent")
-        if not 0.0 <= self.pc <= 100.0:
-            raise ValueError("pc must lie in [0, 100]")
-
 
 def _visible(origins: np.ndarray, targets: np.ndarray, dists: np.ndarray,
              tris: np.ndarray) -> np.ndarray:

@@ -8,8 +8,6 @@ _COLORS = ("#1f6fb2", "#c44e52", "#55a868", "#8172b2")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

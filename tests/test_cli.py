@@ -323,7 +323,14 @@ class TestMultipath:
         argv = ["train", "--dataset", str(data), "--mode", "multipath_regression",
                 "--epochs", "1", "--out", str(tmp_path / "run")]
         assert cli.main(argv) == 1
-        assert "uniform stroke count" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "uniform stroke count" in err
+        # the message names the first train sample whose count differs from the first's
+        train_ids, _ = cli.read_split(data)
+        counts = [len(synthdata.load_strokes(data / "samples" / sid / "strokes.txt"))
+                  for sid in train_ids]
+        odd = next(sid for sid, n in zip(train_ids, counts) if n != counts[0])
+        assert f"{data / 'samples' / odd / 'strokes.txt'}:" in err
 
 
 class TestSweep:
@@ -518,8 +525,11 @@ class TestMainEntry:
         ("meta.txt", lambda text: re.sub(r"scale_factor = .*", "scale_factor = nan", text)),
         ("meta.txt", lambda text: text.replace("cloud_points = 48", "cloud_points = 0")),
         ("meta.txt", lambda text: text.replace("budget = 96", "budget = 0")),
+        ("meta.txt", lambda text: text.replace("budget = 96", "budget = 95")),
+        ("split.txt", lambda text: text.replace(" train\n", " test\n")),
     ], ids=["missing_budget", "bad_budget", "missing_label", "unknown_label", "duplicate_id",
-            "nan_scale_factor", "zero_cloud_points", "zero_budget"])
+            "nan_scale_factor", "zero_cloud_points", "zero_budget", "budget_below_poses",
+            "no_train_sample"])
     def test_bad_dataset_metadata_fails_naming_the_file(self, tiny_dataset, tmp_path,
                                                         file, edit, capsys):
         _, data = tiny_dataset
@@ -534,11 +544,52 @@ class TestMainEntry:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert str(path) in err
-        if file == "split.txt":   # the first edited line is the one at fault
+        if file == "split.txt" and "train" in after:   # the first edited line is at fault
             lineno = next(i for i, (old, new) in enumerate(
                 itertools.zip_longest(before.splitlines(), after.splitlines()), start=1)
                 if old != new)
             assert f"{path}:{lineno}:" in err
+
+    def test_extra_stroke_over_the_budget_fails_naming_both_files(self, tiny_dataset,
+                                                                  tmp_path, capsys):
+        _, data = tiny_dataset
+        copy = tmp_path / "dataset"
+        shutil.copytree(data, copy)
+        train_ids, _ = cli.read_split(copy)
+        strokes, meta = copy / "samples" / train_ids[0] / "strokes.txt", copy / "meta.txt"
+        lines = strokes.read_text().splitlines()   # `budget` poses: one more stroke exceeds it
+        last = [line.split() for line in lines if line.split()[0] == lines[-1].split()[0]]
+        extra = [" ".join([str(int(row[0]) + 1)] + row[1:]) for row in last]
+        strokes.write_text("\n".join(lines + extra) + "\n")
+        argv = ["train", "--dataset", str(copy), "--epochs", "1", "--out", str(tmp_path / "r")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(strokes) in err and str(meta) in err
+        assert not (tmp_path / "r").exists()
+
+    def test_stroke_shorter_than_lambda_fails_naming_the_sample(self, tiny_dataset, tmp_path,
+                                                                capsys):
+        _, data = tiny_dataset
+        train_ids, _ = cli.read_split(data)
+        argv = ["train", "--dataset", str(data), "--lambda", "20", "--epochs", "1",
+                "--out", str(tmp_path / "r")]
+        assert cli.main(argv) == 1   # every stroke of the tiny dataset has 16 poses
+        err = capsys.readouterr().err
+        assert str(data / "samples" / train_ids[0] / "strokes.txt") in err
+        assert "shorter than lam=20" in err
+
+    @pytest.mark.parametrize("bad", ["", "..", ".", "nonexistent"])
+    def test_predict_rejects_an_id_not_in_the_split(self, tiny_checkpoint, tmp_path, bad,
+                                                    capsys):
+        _, data, ckpt = tiny_checkpoint
+        train_ids, test_ids = cli.read_split(data)
+        out = tmp_path / "pred"
+        argv = ["predict", "--dataset", str(data), "--checkpoint", str(ckpt),
+                "--ids", f"{test_ids[0]},{bad},{train_ids[0]}", "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert repr(bad) in err and str(data / "split.txt") in err
+        assert not out.exists()
 
     def test_diverging_training_fails_naming_the_epoch(self, tiny_dataset, tmp_path, capsys):
         _, data = tiny_dataset

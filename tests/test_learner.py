@@ -364,12 +364,15 @@ class TestTrain:
         pcd_after = pose_chamfer(predict(params, samples[0].cloud).reshape(-1, 6), gt, weights)
         assert pcd_after < pcd_before
 
-    def test_coverage_precondition(self):
+    def test_more_targets_than_slots(self):
+        # the overlap sweep's case: the Chamfer loss matches K > slots targets
         samples, slots = make_cuboid_samples(2)
         cfg = ModelConfig(input_points=64, lam=4, slots=len(samples[0].target) - 1,
                           latent_dim=8, encoder_hidden=(8,), head_hidden=(8,))
-        with pytest.raises(ValueError):
-            train(samples, cfg, TrainConfig(epochs=1))
+        assert len(samples[0].target) > cfg.slots
+        _, history = train(samples, cfg, TrainConfig(epochs=2))
+        assert history.shape == (2, 3)
+        assert np.isfinite(history).all()
 
     def test_multipath_mode(self):
         rng = np.random.default_rng(12)
@@ -382,6 +385,9 @@ class TestTrain:
         params, history = train(samples, cfg, TrainConfig(epochs=60, seed=4))
         assert history[-1, 0] < history[0, 0]
         assert np.all(history[:, 2] == 0.0)
+        short = [TrainingSample(cloud=s.cloud, target=s.target[:2]) for s in samples]
+        with pytest.raises(ValueError, match="equal"):   # regression_loss's shape check
+            train(short, cfg, TrainConfig(epochs=1))
 
     def test_minibatch_runs_deterministically(self):
         samples, slots = make_cuboid_samples(5)

@@ -7,7 +7,6 @@ from sprayseg import parallel, spraysim, synthdata
 from sprayseg.geometry import TriMesh
 from sprayseg.objective import LossWeights
 from sprayseg.spraysim import (
-    CoverageReport,
     SprayGunModel,
     _visible,
     coverage_threshold,
@@ -517,10 +516,6 @@ class TestPaintCoverage:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             paint_coverage(np.ones(3), np.ones(4))
-
-    def test_report_validation(self):
-        with pytest.raises(ValueError):
-            CoverageReport(threshold=1.0, gt_covered=2, pred_covered_of_gt=3, pc=150.0)
 
 
 class TestPoseChamfer:
