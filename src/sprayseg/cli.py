@@ -297,9 +297,9 @@ def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
         if poses > meta["budget"]:
             raise CliError(f"{path}: {poses} poses exceed the budget of {meta['budget']} "
                            f"in {Path(dataset_dir) / 'meta.txt'}")
-        first = loaded[0] if loaded else (path, cloud, strokes)
-        if cfg.mode == "multipath_regression" and len(strokes) != len(first[2]):
-            raise CliError(f"{path}: {len(strokes)} strokes, {len(first[2])} in {first[0]}; "
+        if cfg.mode == "multipath_regression" and loaded and len(strokes) != len(loaded[0][2]):
+            first_path, _, first = loaded[0]
+            raise CliError(f"{path}: {len(strokes)} strokes, {len(first)} in {first_path}; "
                            "multipath_regression needs a uniform stroke count per sample")
         loaded.append((path, cloud, strokes))
     if model_cfg is None:

@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py's summary of alternating benchmark pairs, on fixed numbers."""
+"""tools/bench_pairs.py's summary of alternating benchmark pairs, on fixed numbers,
+and its reading of a run whose output is not a result."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -21,8 +23,8 @@ def test_summary_reports_quartiles_and_wins_by_direction():
              for a, b in zip(first, second)]
     lines = tool.summarize(pairs, {"wall_s": "lower", "samples_per_s": "higher"})
     assert lines == [
-        "wall_s: first 3 [2, 4]  second 2.5 [2, 3]  second won 3/5",
-        "samples_per_s: first 30 [20, 40]  second 25 [20, 30]  second won 2/5",
+        "wall_s: first 3 [1.5, 4.5]  second 2.5 [1.25, 4.5]  second won 3/5",
+        "samples_per_s: first 30 [15, 45]  second 25 [12.5, 45]  second won 2/5",
     ]
 
 
@@ -31,3 +33,9 @@ def test_ties_are_not_wins_and_one_pair_has_no_spread():
     lines = tool.summarize([({"peak_rss_mb": 80.0}, {"peak_rss_mb": 80.0})],
                            {"peak_rss_mb": "lower"})
     assert lines == ["peak_rss_mb: first 80 [80, 80]  second 80 [80, 80]  second won 0/1"]
+
+
+def test_run_whose_last_line_is_not_json_counts_as_failed(tmp_path):
+    tool = load_tool()
+    command = [sys.executable, "-c", "print('warming up')"]
+    assert tool.run_once(tmp_path, command, "train", 0, 1.0) is None

@@ -1,18 +1,20 @@
 """Run the benchmark on two trees in alternating pairs and compare their end-to-end metrics.
 
-Usage: python tools/bench_pairs.py FIRST_TREE SECOND_TREE --workload W [--pairs 10] [--seconds 20]
+Usage: python tools/bench_pairs.py FIRST_TREE SECOND_TREE --workload W [--pairs 10]
 
-Pair i runs the benchmark command of each tree's BENCHMARK.json (``python3
-perfbench/run.py``) with ``--workload W --seed i --seconds S --trace 0``, from
+The command, the run length and the end-to-end metrics come from SECOND_TREE's
+BENCHMARK.json. Pair i runs that command (``python3 perfbench/run.py``) with
+``--workload W --seed i --seconds <run_seconds> --trace 0`` in each tree, from
 the tree's own directory. Even pairs start with FIRST_TREE and odd pairs with
 SECOND_TREE, so drift on a shared machine falls on both sides. The tool prints
-one line per run, then one line per end-to-end metric of SECOND_TREE's
-BENCHMARK.json: the median [q1, q3] of each side over the complete pairs and
-the number of pairs SECOND_TREE won. A run that exits non-zero or reports
-incorrect outputs is printed as failed, its pair is left out, and the tool
-exits 1.
+one line per run, then one line per end-to-end metric: the median [q1, q3] of
+each side over the complete pairs, with the quartiles of
+``statistics.quantiles(values, n=4)`` as in perfbench/spread.py, and the
+number of pairs SECOND_TREE won. A run that exits non-zero, whose last output
+line is not JSON, or that reports incorrect outputs is printed as failed, its
+pair is left out, and the tool exits 1.
 
-    python tools/bench_pairs.py ../parent . --workload train --pairs 10 --seconds 20
+    python tools/bench_pairs.py ../parent . --workload train --pairs 10
 """
 
 from __future__ import annotations
@@ -31,21 +33,23 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int,
     proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if proc.returncode != 0 or result is None:
         sys.stderr.write(proc.stderr[-2000:])
         return None
-    result = json.loads(lines[-1])
     if not result["correct"]:
         return None
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
 def spread(values: list[float]) -> str:
-    """Median [first quartile, third quartile], inclusive quartiles."""
+    """Median [first quartile, third quartile]."""
     if len(values) == 1:
         return f"{values[0]:.4g} [{values[0]:.4g}, {values[0]:.4g}]"
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, med, q3 = statistics.quantiles(values, n=4)
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
@@ -68,7 +72,6 @@ def main(argv=None) -> int:
     parser.add_argument("second", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -80,7 +83,7 @@ def main(argv=None) -> int:
         metrics = [None, None]
         for side in ((0, 1) if seed % 2 == 0 else (1, 0)):
             metrics[side] = run_once(trees[side], bench["command"], args.workload, seed,
-                                     args.seconds)
+                                     bench["run_seconds"])
             label = ("first", "second")[side]
             if metrics[side] is None:
                 failed += 1
