@@ -7,6 +7,13 @@ predicted segments into long strokes, and score the result with a pose-wise
 Chamfer distance and simulated paint coverage.
 """
 
+import os
+
+# One BLAS thread, set before numpy loads, so that trained weights do not depend on
+# the shell's BLAS setting; `parallel.spread` supplies the parallelism instead.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS"), "1"))
+
 from .geometry import (
     MeshError,
     NormalizationTransform,

@@ -192,7 +192,9 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> Path:
     return out_dir
 
 
-def read_split(dataset_dir) -> tuple[list[str], list[str]]:
+def read_split(dataset_dir, required: dict | None = None) -> tuple[list[str], list[str]]:
+    """Sorted train and test ids from the dataset's split.txt. `required` maps
+    sample ids that must be listed there to where each came from, for the error."""
     path = Path(dataset_dir) / "split.txt"
     parts: dict[str, list[str]] = {"train": [], "test": []}
     listed: set[str] = set()
@@ -206,6 +208,9 @@ def read_split(dataset_dir) -> tuple[list[str], list[str]]:
             raise CliError(f"{path}:{lineno}: sample {tokens[0]!r} is listed twice")
         listed.add(tokens[0])
         parts[tokens[1]].append(tokens[0])
+    for sid, source in (required or {}).items():
+        if sid not in listed:
+            raise CliError(f"{source}: sample id {sid!r} is not listed in {path}")
     return sorted(parts["train"]), sorted(parts["test"])
 
 
@@ -237,12 +242,16 @@ def load_dataset_sample(dataset_dir, sid: str):
     return mesh, cloud, strokes
 
 
-def build_model_config(cfg: ExperimentConfig, train_strokes, meta: dict) -> ModelConfig:
+def build_model_config(cfg: ExperimentConfig, train_strokes, meta: dict,
+                       dataset_dir) -> ModelConfig:
     if cfg.mode == "multipath_regression":
         slots = len(train_strokes[0])   # uniform: cmd_train checks each sample
         lam = min(meta["budget"] // slots, *(len(s) for ss in train_strokes for s in ss))
     else:
         lam, overlap = (1, 0) if cfg.mode == "pointwise" else (cfg.lam, cfg.overlap)
+        if lam > meta["budget"]:
+            raise CliError(f"lam = {lam} exceeds the budget of {meta['budget']} "
+                           f"in {Path(dataset_dir) / 'meta.txt'}")
         slots = synthdata.output_slot_count(meta["budget"], lam, overlap)
     return ModelConfig(input_points=meta["cloud_points"], lam=lam, slots=slots,
                        latent_dim=cfg.latent_dim, encoder_hidden=cfg.encoder_hidden,
@@ -303,7 +312,7 @@ def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
                            "multipath_regression needs a uniform stroke count per sample")
         loaded.append((path, cloud, strokes))
     if model_cfg is None:
-        model_cfg = build_model_config(cfg, [strokes for _, _, strokes in loaded], meta)
+        model_cfg = build_model_config(cfg, [strokes for *_, strokes in loaded], meta, dataset_dir)
     samples = build_training_samples(cfg, loaded, model_cfg, meta)
     initial = None
     if pretrained is not None:
@@ -326,10 +335,7 @@ def cmd_predict(cfg: ExperimentConfig, checkpoint, dataset_dir, out_dir, ids=Non
     """Predict the listed samples (default: the test split) into `out_dir`."""
     out_dir = Path(out_dir)
     params = load_checkpoint(checkpoint)
-    train_ids, test_ids = read_split(dataset_dir)
-    for sid in ids or ():
-        if sid not in train_ids + test_ids:
-            raise CliError(f"sample id {sid!r} is not listed in {Path(dataset_dir) / 'split.txt'}")
+    _, test_ids = read_split(dataset_dir, dict.fromkeys(ids or (), "--ids"))
     scale = read_meta(dataset_dir)["scale_factor"]
     for sid in test_ids if ids is None else ids:
         _, cloud, _ = load_dataset_sample(dataset_dir, sid)
@@ -348,6 +354,7 @@ def cmd_concat(cfg: ExperimentConfig, pred_dir, dataset_dir, out_dir) -> Path:
     paths = sorted(pred_dir.glob("*.txt"))
     if not paths:
         raise CliError(f"no prediction files under {pred_dir}")
+    read_split(dataset_dir, {path.stem: path for path in paths})
     for path in paths:
         _, cloud, _ = load_dataset_sample(dataset_dir, path.stem)
         segments = synthdata.load_strokes(path)
@@ -486,7 +493,7 @@ def cmd_sweep(cfg: ExperimentConfig, dataset_dir, out_dir, param: str,
         # PCD comparisons happen at a fixed number of predicted poses; larger
         # overlaps then cut more target segments than there are slots
         model_cfg = build_model_config(replace(cfg, overlap=1, mode="segments"), [],
-                                       read_meta(dataset_dir))
+                                       read_meta(dataset_dir), dataset_dir)
     gt_fields: dict = {}
     results = []
     for v, name, run_cfg in zip(values, names, run_cfgs):

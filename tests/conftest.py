@@ -3,6 +3,8 @@
 import contextlib
 import sys
 
+import sprayseg  # first: its one-thread BLAS pin must come before numpy loads
+
 import numpy as np
 import pytest
 
@@ -98,8 +100,8 @@ def min_gap(matrix):
 
 
 def spread_over(monkeypatch, workers):
-    """Make `parallel.spread` use `workers` threads beside a one-thread BLAS;
-    returns the list to which every task handed to a helper thread is appended."""
+    """Make `parallel.spread` use `workers` threads; returns the list to which
+    every task handed to a helper thread is appended."""
     from sprayseg import parallel
 
     helped = []
@@ -110,7 +112,6 @@ def spread_over(monkeypatch, workers):
             return super().submit(fn, *args)
 
     monkeypatch.setattr(parallel, "WORKERS", workers)
-    monkeypatch.setattr(parallel, "BLAS_THREADS", 1)
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
     return helped
 

@@ -1,12 +1,15 @@
 import builtins
 import errno
+import hashlib
 import inspect
 import io
 import itertools
 import os
 import re
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -591,6 +594,31 @@ class TestMainEntry:
         assert repr(bad) in err and str(data / "split.txt") in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["..txt", "...txt", "nonexistent.txt"])
+    def test_concat_rejects_a_file_not_in_the_split(self, tiny_checkpoint, tmp_path, name,
+                                                    capsys):
+        cfg, data, ckpt = tiny_checkpoint
+        pred = cli.cmd_predict(cfg, ckpt, data, tmp_path / "pred")
+        first = sorted(pred.iterdir())[0]
+        shutil.copyfile(first, pred / name)
+        out = tmp_path / "linked"
+        argv = ["concat", "--dataset", str(data), "--pred", str(pred), "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(pred / name) in err and str(data / "split.txt") in err
+        assert not out.exists()
+
+    def test_lambda_over_the_dataset_budget_fails_naming_meta(self, tiny_dataset, tmp_path,
+                                                              capsys):
+        _, data = tiny_dataset
+        out = tmp_path / "r"
+        argv = ["train", "--dataset", str(data), "--lambda", "100", "--epochs", "1",
+                "--out", str(out)]
+        assert cli.main(argv) == 1   # config budget 480, the tiny dataset's 96
+        err = capsys.readouterr().err
+        assert "lam = 100 exceeds the budget of 96" in err and str(data / "meta.txt") in err
+        assert not out.exists()
+
     def test_diverging_training_fails_naming_the_epoch(self, tiny_dataset, tmp_path, capsys):
         _, data = tiny_dataset
         conf = tmp_path / "conf.txt"
@@ -650,3 +678,45 @@ class TestMainEntry:
         field = spraysim.load_thickness(out)
         assert field.max() > 0
         assert len(colored.read_text().splitlines()) > 0
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def shell_env(openblas_threads=None):
+    """This environment with the tested sources first on the path and no BLAS thread
+    setting, except OPENBLAS_NUM_THREADS when given."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return env
+
+
+class TestBlasThreads:
+    def test_import_pins_one_blas_thread(self):
+        code = "import os, sprayseg; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        run = subprocess.run([sys.executable, "-c", code], env=shell_env("2"),
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.split() == ["1"]
+
+    def test_train_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # tools/pipeline_digest.py's config: unpinned, its trained weights differ
+        # between one and two BLAS threads
+        (tmp_path / "config.txt").write_text(
+            "categories = cuboids,windows,shelves,containers\ncount = 5\nface_grid = 3\n"
+            "budget = 160\nepochs = 5\nseed = 0\n")
+
+        def sprayseg(*argv, openblas_threads=None):
+            subprocess.run([sys.executable, "-m", "sprayseg.cli", *argv, "--config", "config.txt"],
+                           cwd=tmp_path, env=shell_env(openblas_threads), check=True)
+
+        sprayseg("generate", "--out", "data")
+        digests = {}
+        for threads in ("1", "2", None):
+            sprayseg("train", "--dataset", "data", "--out", f"run_{threads}",
+                     openblas_threads=threads)
+            ckpt = tmp_path / f"run_{threads}" / "checkpoint.ckpt"
+            digests[threads] = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+        assert len(set(digests.values())) == 1, digests

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sprayseg import learner, parallel
+from sprayseg import learner
 from sprayseg.learner import (
     AdamState,
     ModelConfig,
@@ -311,15 +311,6 @@ class TestWorkers:
             assert np.array_equal(state.m, want_state.m)
             assert np.array_equal(state.v, want_state.v)
         assert len(helped) == 10 * (workers - 1)
-
-    def test_threaded_blas_keeps_training_on_one_thread(self, monkeypatch):
-        helped = spread_over(monkeypatch, 2)
-        monkeypatch.setattr(parallel, "BLAS_THREADS", 2)
-        params = init_params(TINY, 0)
-        learner._encode_batch(params, np.random.default_rng(0).normal(size=(4, 8, 3)))
-        n = 3 * learner._ADAM_CHUNK
-        adam_step(np.zeros(n), np.ones(n), AdamState.zeros(n), 1e-3)
-        assert helped == []
 
 
 def make_cuboid_samples(n, lam=4, overlap=1, points=64, budget=120, seed=0):

@@ -17,30 +17,10 @@ def test_spans_cover_range_in_order(workers, n, monkeypatch):
     assert all(lengths) and max(lengths, default=0) - min(lengths, default=0) <= 1
 
 
-@pytest.mark.parametrize("env, threads", [
-    ({}, 4),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
-    ({"OMP_NUM_THREADS": "1"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "3"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "x"}, 4),
-    ({"OPENBLAS_NUM_THREADS": "16"}, 4),
-])
-def test_blas_threads_read_as_openblas_reads_them(env, threads, monkeypatch):
-    monkeypatch.setattr(parallel, "WORKERS", 4)
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    assert parallel._blas_threads() == threads
-
-
 def record_threads(monkeypatch, workers):
-    """spread over `workers` threads beside a one-thread BLAS; returns a task and
-    the list of (part, thread id) to which it appends."""
+    """spread over `workers` threads; returns a task and the list of
+    (part, thread id) to which it appends."""
     monkeypatch.setattr(parallel, "WORKERS", workers)
-    monkeypatch.setattr(parallel, "BLAS_THREADS", 1)
     ran = []
 
     def task(part):
@@ -70,15 +50,12 @@ def test_one_worker_or_one_part_starts_no_thread(monkeypatch):
     monkeypatch.setattr(parallel, "WORKERS", 4)
     parallel.spread(task, 1)
     parallel.spread(task, 0)
-    monkeypatch.setattr(parallel, "BLAS_THREADS", 2)   # BLAS keeps the CPUs busy
-    parallel.spread(task, 5)
-    assert [part for part, _ in ran] == [slice(0, 3), slice(0, 1), slice(0, 5)]
+    assert [part for part, _ in ran] == [slice(0, 3), slice(0, 1)]
     assert {thread for _, thread in ran} == {threading.get_ident()}
 
 
 def test_helper_exception_reaches_caller(monkeypatch):
     monkeypatch.setattr(parallel, "WORKERS", 2)
-    monkeypatch.setattr(parallel, "BLAS_THREADS", 1)
 
     def task(part):
         if part.start > 0:

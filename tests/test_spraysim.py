@@ -333,9 +333,8 @@ def test_deposit_starts_no_thread(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a thread was started")
 
-    # four workers beside a one-thread BLAS: `parallel.spread` would split here
+    # four workers: `parallel.spread` would split here
     monkeypatch.setattr(parallel, "WORKERS", 4)
-    monkeypatch.setattr(parallel, "BLAS_THREADS", 1)
     monkeypatch.setattr(threading.Thread, "start", refuse)
     rec = synthdata.generate_object("cuboids", seed=0, face_grid=3)
     gun = SprayGunModel(cone_half_angle=np.deg2rad(45.0), max_range=0.5, flux=1.0)

@@ -10,11 +10,12 @@ split, and a multipath_regression model trained and evaluated on a
 cuboids-only dataset. sprayseg is imported from DIR/src (default: the tree
 holding this script), and the commands run in a temporary directory with
 relative paths, so the output is one "sha256  path" line per file and two
-trees compare with a plain diff. Trained weights depend on the BLAS thread
-count, so the tool sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS to 1 before it imports sprayseg; the digests then do not
-depend on the calling shell's settings (they still depend on the numpy/BLAS
-build):
+trees compare with a plain diff. Importing sprayseg pins one BLAS thread, so
+trained weights do not depend on the shell; the tool still sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before it
+imports sprayseg, for --tree checkouts older than that pin, whose trained
+weights depend on the BLAS thread count. The digests then do not depend on
+the calling shell's settings (they still depend on the numpy/BLAS build):
 
     python tools/pipeline_digest.py --tree old_checkout > old.txt
     python tools/pipeline_digest.py > new.txt
