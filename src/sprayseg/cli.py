@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import astuple, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -192,9 +193,8 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> Path:
     return out_dir
 
 
-def read_split(dataset_dir, required: dict | None = None) -> tuple[list[str], list[str]]:
-    """Sorted train and test ids from the dataset's split.txt. `required` maps
-    sample ids that must be listed there to where each came from, for the error."""
+def read_split(dataset_dir) -> tuple[list[str], list[str]]:
+    """Sorted train and test ids from the dataset's split.txt; each part must have one."""
     path = Path(dataset_dir) / "split.txt"
     parts: dict[str, list[str]] = {"train": [], "test": []}
     listed: set[str] = set()
@@ -208,9 +208,9 @@ def read_split(dataset_dir, required: dict | None = None) -> tuple[list[str], li
             raise CliError(f"{path}:{lineno}: sample {tokens[0]!r} is listed twice")
         listed.add(tokens[0])
         parts[tokens[1]].append(tokens[0])
-    for sid, source in (required or {}).items():
-        if sid not in listed:
-            raise CliError(f"{source}: sample id {sid!r} is not listed in {path}")
+    for part, ids in parts.items():
+        if not ids:
+            raise CliError(f"{path}: no sample is labelled {part}")
     return sorted(parts["train"]), sorted(parts["test"])
 
 
@@ -232,39 +232,126 @@ def read_meta(dataset_dir) -> dict:
     return values
 
 
-def load_dataset_sample(dataset_dir, sid: str):
+@dataclass
+class Sample:
+    """One sample directory; each of its files is parsed on first use, then kept."""
+
+    path: Path
+    mesh = cached_property(lambda self: geometry.load_mesh(self.path / "mesh.txt")[0])
+    cloud = cached_property(lambda self: geometry.load_point_cloud(self.path / "cloud.txt"))
+    strokes = cached_property(lambda self: synthdata.load_strokes(self.path / "strokes.txt"))
+
+    def __iter__(self):   # perfbench/record.py unpacks (mesh, cloud, strokes)
+        return iter((self.mesh, self.cloud, self.strokes))
+
+
+def load_dataset_sample(dataset_dir, sid: str) -> Sample:
     d = Path(dataset_dir) / "samples" / sid
     if not d.is_dir():
         raise CliError(f"sample {sid!r} not found under {dataset_dir}")
-    mesh, _ = geometry.load_mesh(d / "mesh.txt")
-    cloud = geometry.load_point_cloud(d / "cloud.txt")
-    strokes = synthdata.load_strokes(d / "strokes.txt")
-    return mesh, cloud, strokes
+    return Sample(d)
 
 
-def build_model_config(cfg: ExperimentConfig, train_strokes, meta: dict,
-                       dataset_dir) -> ModelConfig:
+class Dataset:
+    """A dataset directory as one command reads it: split.txt and meta.txt when it is
+    opened, each sample's files on first use, each ground-truth paint field once per
+    gun, and each test sample's prediction once per checkpoint."""
+
+    def __init__(self, root) -> None:
+        self.root = Path(root)
+        self.train_ids, self.test_ids = read_split(self.root)
+        self.meta, self.meta_path = read_meta(self.root), self.root / "meta.txt"
+        self._samples: dict[str, Sample] = {}
+        self._gt_fields: dict[tuple[str, spraysim.SprayGunModel], np.ndarray] = {}
+        self._checkpoint, self._params, self._predictions = None, None, {}
+
+    def check_listed(self, sources: dict) -> None:
+        """`sources` maps sample ids that split.txt must list to where each came from."""
+        for sid, source in sources.items():
+            if sid not in self.train_ids + self.test_ids:
+                raise CliError(f"{source}: sample id {sid!r} is not listed in "
+                               f"{self.root / 'split.txt'}")
+
+    def sample(self, sid: str) -> Sample:
+        if sid not in self._samples:
+            self._samples[sid] = load_dataset_sample(self.root, sid)
+        return self._samples[sid]
+
+    def normalize(self, sid: str, strokes=()):
+        """`sid`'s cloud and `strokes` in the model's frame, and the transform back."""
+        return geometry.normalize(self.sample(sid).cloud, strokes, self.meta["scale_factor"])
+
+    def gt_field(self, sid: str, gun: spraysim.SprayGunModel) -> np.ndarray:
+        """The paint field of `sid`'s expert strokes under `gun`, deposited once."""
+        if (sid, gun) not in self._gt_fields:
+            sample = self.sample(sid)
+            self._gt_fields[sid, gun] = spraysim.deposit(sample.mesh, sample.strokes, gun)
+        return self._gt_fields[sid, gun]
+
+    def model(self, checkpoint) -> ModelParams:
+        """The checkpoint's parameters; the last checkpoint asked for stays loaded, with
+        its predictions."""
+        if self._checkpoint != str(checkpoint):
+            self._checkpoint, self._params = str(checkpoint), load_checkpoint(checkpoint)
+            self._predictions = {}
+        return self._params
+
+    def prediction(self, sid: str, checkpoint) -> np.ndarray:
+        """The normalized segments that `checkpoint` predicts for `sid`, computed once."""
+        params = self.model(checkpoint)
+        if sid not in self._predictions:
+            self._predictions[sid] = predict(params, self.normalize(sid)[0])
+        return self._predictions[sid]
+
+
+def build_model_config(cfg: ExperimentConfig, train_strokes, dataset: Dataset) -> ModelConfig:
+    budget = dataset.meta["budget"]
     if cfg.mode == "multipath_regression":
         slots = len(train_strokes[0])   # uniform: cmd_train checks each sample
-        lam = min(meta["budget"] // slots, *(len(s) for ss in train_strokes for s in ss))
+        lam = min(budget // slots, *(len(s) for ss in train_strokes for s in ss))
     else:
         lam, overlap = (1, 0) if cfg.mode == "pointwise" else (cfg.lam, cfg.overlap)
-        if lam > meta["budget"]:
-            raise CliError(f"lam = {lam} exceeds the budget of {meta['budget']} "
-                           f"in {Path(dataset_dir) / 'meta.txt'}")
-        slots = synthdata.output_slot_count(meta["budget"], lam, overlap)
-    return ModelConfig(input_points=meta["cloud_points"], lam=lam, slots=slots,
+        if lam > budget:
+            raise CliError(f"lam = {lam} exceeds the budget of {budget} in {dataset.meta_path}")
+        slots = synthdata.output_slot_count(budget, lam, overlap)
+    return ModelConfig(input_points=dataset.meta["cloud_points"], lam=lam, slots=slots,
                        latent_dim=cfg.latent_dim, encoder_hidden=cfg.encoder_hidden,
                        head_hidden=cfg.head_hidden, mode=cfg.mode)
 
 
-def build_training_samples(cfg: ExperimentConfig, loaded,
-                           model_cfg: ModelConfig, meta: dict) -> list[TrainingSample]:
-    """Normalized samples from (strokes path, cloud, strokes) triples."""
+def _select_fraction(ids: list[str], fraction: float, seed: int) -> list[str]:
+    n = max(1, int(round(fraction * len(ids))))
+    order = np.random.default_rng([19, seed]).permutation(len(ids))
+    return sorted(ids[i] for i in order[:n])
+
+
+def cmd_train(cfg: ExperimentConfig, dataset: Dataset, out_dir,
+              pretrained=None, model_cfg: ModelConfig | None = None) -> Path:
+    """Train on the dataset's train split; write checkpoint, loss CSV, run info.
+
+    Each training sample holds at most `meta.txt`'s `budget` poses, so its targets
+    fit the slots built from that budget; a given `model_cfg` (the overlap sweep)
+    may face more target segments than slots.
+    """
+    out_dir = Path(out_dir)
+    train_ids = _select_fraction(dataset.train_ids, cfg.fraction, cfg.seed)
+    if model_cfg is None:
+        model_cfg = build_model_config(
+            cfg, [dataset.sample(sid).strokes for sid in train_ids], dataset)
+    budget, first = dataset.meta["budget"], dataset.sample(train_ids[0])
     samples = []
-    for path, cloud, strokes in loaded:
-        ncloud, nstrokes, _ = geometry.normalize(cloud, strokes, meta["scale_factor"])
+    for sid in train_ids:
+        strokes, path = dataset.sample(sid).strokes, dataset.sample(sid).path / "strokes.txt"
+        poses = sum(len(s) for s in strokes)
+        if poses > budget:
+            raise CliError(f"{path}: {poses} poses exceed the budget of {budget} "
+                           f"in {dataset.meta_path}")
+        ncloud, nstrokes, _ = dataset.normalize(sid, strokes)
         if model_cfg.mode == "multipath_regression":
+            if len(strokes) != len(first.strokes):
+                raise CliError(f"{path}: {len(strokes)} strokes, {len(first.strokes)} in "
+                               f"{first.path / 'strokes.txt'}; multipath_regression needs "
+                               "a uniform stroke count per sample")
             target = np.stack([
                 s[np.linspace(0, len(s) - 1, model_cfg.lam).astype(int)]
                 for s in nstrokes])
@@ -275,45 +362,6 @@ def build_training_samples(cfg: ExperimentConfig, loaded,
             except ValueError as exc:
                 raise CliError(f"{path}: {exc}") from exc
         samples.append(TrainingSample(cloud=ncloud, target=target))
-    return samples
-
-
-def _select_fraction(ids: list[str], fraction: float, seed: int) -> list[str]:
-    n = max(1, int(round(fraction * len(ids))))
-    order = np.random.default_rng([19, seed]).permutation(len(ids))
-    return sorted(ids[i] for i in order[:n])
-
-
-def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
-              pretrained=None, model_cfg: ModelConfig | None = None) -> Path:
-    """Train on the dataset's train split; write checkpoint, loss CSV, run info.
-
-    Each training sample holds at most `meta.txt`'s `budget` poses, so its targets
-    fit the slots built from that budget; a given `model_cfg` (the overlap sweep)
-    may face more target segments than slots.
-    """
-    out_dir = Path(out_dir)
-    train_ids, _ = read_split(dataset_dir)
-    if not train_ids:
-        raise CliError(f"{Path(dataset_dir) / 'split.txt'}: no sample is labelled train")
-    train_ids = _select_fraction(train_ids, cfg.fraction, cfg.seed)
-    meta = read_meta(dataset_dir)
-    loaded = []
-    for sid in train_ids:
-        _, cloud, strokes = load_dataset_sample(dataset_dir, sid)
-        path = Path(dataset_dir) / "samples" / sid / "strokes.txt"
-        poses = sum(len(s) for s in strokes)
-        if poses > meta["budget"]:
-            raise CliError(f"{path}: {poses} poses exceed the budget of {meta['budget']} "
-                           f"in {Path(dataset_dir) / 'meta.txt'}")
-        if cfg.mode == "multipath_regression" and loaded and len(strokes) != len(loaded[0][2]):
-            first_path, _, first = loaded[0]
-            raise CliError(f"{path}: {len(strokes)} strokes, {len(first)} in {first_path}; "
-                           "multipath_regression needs a uniform stroke count per sample")
-        loaded.append((path, cloud, strokes))
-    if model_cfg is None:
-        model_cfg = build_model_config(cfg, [strokes for *_, strokes in loaded], meta, dataset_dir)
-    samples = build_training_samples(cfg, loaded, model_cfg, meta)
     initial = None
     if pretrained is not None:
         initial = load_checkpoint(pretrained)
@@ -331,34 +379,29 @@ def cmd_train(cfg: ExperimentConfig, dataset_dir, out_dir,
     return out_dir / "checkpoint.ckpt"
 
 
-def cmd_predict(cfg: ExperimentConfig, checkpoint, dataset_dir, out_dir, ids=None) -> Path:
+def cmd_predict(cfg: ExperimentConfig, checkpoint, dataset: Dataset, out_dir,
+                ids=None) -> Path:
     """Predict the listed samples (default: the test split) into `out_dir`."""
     out_dir = Path(out_dir)
-    params = load_checkpoint(checkpoint)
-    _, test_ids = read_split(dataset_dir, dict.fromkeys(ids or (), "--ids"))
-    scale = read_meta(dataset_dir)["scale_factor"]
-    for sid in test_ids if ids is None else ids:
-        _, cloud, _ = load_dataset_sample(dataset_dir, sid)
-        ncloud, _, tf = geometry.normalize(cloud, [], scale)
-        synthdata.save_strokes(geometry.denormalize(predict(params, ncloud), tf),
+    dataset.check_listed(dict.fromkeys(ids or (), "--ids"))
+    for sid in dataset.test_ids if ids is None else ids:
+        _, _, tf = dataset.normalize(sid)
+        synthdata.save_strokes(geometry.denormalize(dataset.prediction(sid, checkpoint), tf),
                                out_dir / f"{sid}.txt")
     return out_dir
 
 
-def cmd_concat(cfg: ExperimentConfig, pred_dir, dataset_dir, out_dir) -> Path:
+def cmd_concat(cfg: ExperimentConfig, pred_dir, dataset: Dataset, out_dir) -> Path:
     """Link predicted segments into strokes; files stay in world coordinates."""
     pred_dir = Path(pred_dir)
     out_dir = Path(out_dir)
-    scale = read_meta(dataset_dir)["scale_factor"]
     link_cfg = cfg.link_config()
     paths = sorted(pred_dir.glob("*.txt"))
     if not paths:
         raise CliError(f"no prediction files under {pred_dir}")
-    read_split(dataset_dir, {path.stem: path for path in paths})
+    dataset.check_listed({path.stem: path for path in paths})
     for path in paths:
-        _, cloud, _ = load_dataset_sample(dataset_dir, path.stem)
-        segments = synthdata.load_strokes(path)
-        _, nsegments, tf = geometry.normalize(cloud, segments, scale)
+        _, nsegments, tf = dataset.normalize(path.stem, synthdata.load_strokes(path))
         strokes = linker.concatenate(np.stack(nsegments), link_cfg)
         synthdata.save_strokes(geometry.denormalize(strokes, tf), out_dir / path.name)
     return out_dir
@@ -388,25 +431,21 @@ class MetricsRow:
             raise ValueError(f"{self.sample_id}: non-finite pcd {self.pcd}")
 
 
-def evaluate_sample(cfg: ExperimentConfig, dataset_dir, sid: str,
-                    params: ModelParams | None, concat: bool,
-                    artifacts_dir=None, gt_fields: dict | None = None,
-                    scale_factor: float | None = None) -> MetricsRow:
-    """Metrics for one test sample; params=None evaluates ground truth against itself.
+def evaluate_sample(cfg: ExperimentConfig, dataset: Dataset, sid: str, checkpoint,
+                    concat: bool, artifacts_dir=None) -> MetricsRow:
+    """Metrics for one test sample; checkpoint=None evaluates ground truth against itself.
 
-    ``gt_fields`` maps sample id to its ground-truth thickness field; a missing
-    entry is deposited and stored. The caller owns it and must keep dataset and
-    gun fixed while it is in use. ``scale_factor`` is the dataset's; when None it
-    is read from the dataset metadata.
+    The dataset deposits each ground truth once per gun and predicts each sample
+    once per checkpoint, so calls that differ only in `tau` repeat neither.
     """
-    if scale_factor is None:
-        scale_factor = read_meta(dataset_dir)["scale_factor"]
-    mesh, cloud, strokes = load_dataset_sample(dataset_dir, sid)
-    ncloud, nstrokes, tf = geometry.normalize(cloud, strokes, scale_factor)
-    if params is None:
+    if not isinstance(dataset, Dataset):   # perfbench/record.py passes the directory
+        dataset = Dataset(dataset)
+    sample = dataset.sample(sid)
+    _, nstrokes, tf = dataset.normalize(sid, sample.strokes)
+    if checkpoint is None:
         pred = synthdata.decompose_segments(nstrokes, cfg.lam, cfg.overlap)
     else:
-        pred = predict(params, ncloud)
+        pred = dataset.prediction(sid, checkpoint)
     gt_poses = np.concatenate(nstrokes)
     pcd = spraysim.pose_chamfer(pred.reshape(-1, 6), gt_poses, cfg.weights()) * 1e4
     if concat:
@@ -415,12 +454,8 @@ def evaluate_sample(cfg: ExperimentConfig, dataset_dir, sid: str,
         linked = list(pred)
     exec_strokes = geometry.denormalize(linked, tf)
     gun = cfg.gun()
-    if gt_fields is None:
-        gt_fields = {}
-    if sid not in gt_fields:
-        gt_fields[sid] = spraysim.deposit(mesh, strokes, gun)
-    gt_field = gt_fields[sid]
-    pred_field = spraysim.deposit(mesh, exec_strokes, gun)
+    gt_field = dataset.gt_field(sid, gun)
+    pred_field = spraysim.deposit(sample.mesh, exec_strokes, gun)
     pc = spraysim.paint_coverage(pred_field, gt_field).pc
     if artifacts_dir is not None:
         d = Path(artifacts_dir) / sid
@@ -444,30 +479,28 @@ def _write_metrics(rows: list[MetricsRow], path) -> None:
                + format_rows([("mean", *_means(rows))], "sffff", sep=","))
 
 
-def cmd_evaluate(cfg: ExperimentConfig, dataset_dir, out_dir, checkpoint=None,
-                 ground_truth: bool = False, concat: bool = False,
-                 gt_fields: dict | None = None) -> list[MetricsRow]:
+def cmd_evaluate(cfg: ExperimentConfig, dataset: Dataset, out_dir, checkpoint=None,
+                 ground_truth: bool = False, concat: bool = False) -> list[MetricsRow]:
     """Evaluate the test split; writes metrics.csv plus per-sample artifacts."""
     out_dir = Path(out_dir)
     if not ground_truth and checkpoint is None:
         raise CliError("evaluate needs --checkpoint or --ground-truth")
-    params = None if ground_truth else load_checkpoint(checkpoint)
-    _, test_ids = read_split(dataset_dir)
-    scale = read_meta(dataset_dir)["scale_factor"]
-    rows = [evaluate_sample(cfg, dataset_dir, sid, params, concat, artifacts_dir=out_dir,
-                            gt_fields=gt_fields, scale_factor=scale)
-            for sid in test_ids]
+    checkpoint = None if ground_truth else checkpoint
+    if checkpoint is not None:
+        dataset.model(checkpoint)   # a bad checkpoint fails before any sample is read
+    rows = [evaluate_sample(cfg, dataset, sid, checkpoint, concat, artifacts_dir=out_dir)
+            for sid in dataset.test_ids]
     _write_metrics(rows, out_dir / "metrics.csv")
     return rows
 
 
-def cmd_sweep(cfg: ExperimentConfig, dataset_dir, out_dir, param: str,
+def cmd_sweep(cfg: ExperimentConfig, dataset: Dataset, out_dir, param: str,
               values: list[float]) -> Path:
     """Train/evaluate per parameter value; emits sweep.csv and sweep.svg.
 
     A tau sweep links the predictions of one model; lambda and overlap train
-    one model per value. No swept parameter changes the ground truth or the gun,
-    so each ground-truth field is deposited once per sweep.
+    one model per value. The one dataset object reads each sample once, deposits
+    each ground truth once, and in a tau sweep predicts each test sample once.
     """
     if param not in ("lambda", "overlap", "tau"):
         raise CliError("sweep parameter must be one of: lambda, overlap, tau")
@@ -486,22 +519,19 @@ def cmd_sweep(cfg: ExperimentConfig, dataset_dir, out_dir, param: str,
         run_cfgs = [replace(cfg, lam=int(v), overlap=min(cfg.overlap, int(v) - 1),
                             mode="segments" if v > 1 else "pointwise") for v in values]
     out_dir = Path(out_dir)
-    ckpt = cmd_train(cfg, dataset_dir, out_dir / "model") if param == "tau" else None
+    ckpt = cmd_train(cfg, dataset, out_dir / "model") if param == "tau" else None
     model_cfg = None
     if param == "overlap":
         # fixed prediction budget: slot count pinned at the overlap=1 value so
         # PCD comparisons happen at a fixed number of predicted poses; larger
         # overlaps then cut more target segments than there are slots
-        model_cfg = build_model_config(replace(cfg, overlap=1, mode="segments"), [],
-                                       read_meta(dataset_dir), dataset_dir)
-    gt_fields: dict = {}
+        model_cfg = build_model_config(replace(cfg, overlap=1, mode="segments"), [], dataset)
     results = []
     for v, name, run_cfg in zip(values, names, run_cfgs):
         run_dir = out_dir / name
         if param != "tau":
-            ckpt = cmd_train(run_cfg, dataset_dir, run_dir / "model", model_cfg=model_cfg)
-        rows = cmd_evaluate(run_cfg, dataset_dir, run_dir, checkpoint=ckpt,
-                            concat=param == "tau", gt_fields=gt_fields)
+            ckpt = cmd_train(run_cfg, dataset, run_dir / "model", model_cfg=model_cfg)
+        rows = cmd_evaluate(run_cfg, dataset, run_dir, checkpoint=ckpt, concat=param == "tau")
         results.append([float(v), *_means(rows)])
     write_file(out_dir / "sweep.csv", f"{param},pcd_x1e4,pc,segments,strokes\n"
                + format_rows(results, "fffff", sep=","))
@@ -520,7 +550,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_common(p):
+def _add_command(sub, name: str, help_text: str, dataset: bool = True) -> _Parser:
+    """A subcommand with the options every command takes, and --dataset unless told not to."""
+    p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", help="key-value config file")
     p.add_argument("--seed", type=int)
     p.add_argument("--lambda", dest="lam", type=int)
@@ -528,52 +560,43 @@ def _add_common(p):
     p.add_argument("--tau", type=float)
     p.add_argument("--fraction", type=float)
     p.add_argument("--out", required=True)
+    if dataset:
+        p.add_argument("--dataset", required=True)
+    return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sprayseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate a synthetic dataset")
-    _add_common(p)
+    p = _add_command(sub, "generate", "generate a synthetic dataset", dataset=False)
     p.add_argument("--categories")
     p.add_argument("--count", type=int)
 
-    p = sub.add_parser("train", help="train a model on a dataset")
-    _add_common(p)
-    p.add_argument("--dataset", required=True)
+    p = _add_command(sub, "train", "train a model on a dataset")
     p.add_argument("--mode")
     p.add_argument("--epochs", type=int)
     p.add_argument("--pretrained")
 
-    p = sub.add_parser("predict", help="write predicted segments for test samples")
-    _add_common(p)
-    p.add_argument("--dataset", required=True)
+    p = _add_command(sub, "predict", "write predicted segments for test samples")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--ids", help="comma-separated sample ids (default: test split)")
 
-    p = sub.add_parser("concat", help="link predicted segments into strokes")
-    _add_common(p)
-    p.add_argument("--dataset", required=True)
+    p = _add_command(sub, "concat", "link predicted segments into strokes")
     p.add_argument("--pred", required=True)
 
-    p = sub.add_parser("simulate", help="deposit strokes onto a mesh")
-    _add_common(p)
+    p = _add_command(sub, "simulate", "deposit strokes onto a mesh", dataset=False)
     p.add_argument("--mesh", required=True)
     p.add_argument("--strokes", required=True, help="stroke file (one pose per line)")
     p.add_argument("--colored", help="also write a color-mapped mesh")
 
-    p = sub.add_parser("evaluate", help="metrics over the test split")
-    _add_common(p)
-    p.add_argument("--dataset", required=True)
+    p = _add_command(sub, "evaluate", "metrics over the test split")
     p.add_argument("--checkpoint")
     p.add_argument("--ground-truth", action="store_true",
                    help="evaluate the ground truth against itself")
     p.add_argument("--concat", action="store_true")
 
-    p = sub.add_parser("sweep", help="sweep lambda, overlap, or tau")
-    _add_common(p)
-    p.add_argument("--dataset", required=True)
+    p = _add_command(sub, "sweep", "sweep lambda, overlap, or tau")
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--epochs", type=int)
@@ -585,23 +608,24 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
         cfg = load_config(args.config, overrides)
+        dataset = Dataset(args.dataset) if "dataset" in args else None
         if args.command == "generate":
             cmd_generate(cfg, args.out)
         elif args.command == "train":
-            cmd_train(cfg, args.dataset, args.out, pretrained=args.pretrained)
+            cmd_train(cfg, dataset, args.out, pretrained=args.pretrained)
         elif args.command == "predict":
             ids = args.ids.split(",") if args.ids else None
-            cmd_predict(cfg, args.checkpoint, args.dataset, args.out, ids=ids)
+            cmd_predict(cfg, args.checkpoint, dataset, args.out, ids=ids)
         elif args.command == "concat":
-            cmd_concat(cfg, args.pred, args.dataset, args.out)
+            cmd_concat(cfg, args.pred, dataset, args.out)
         elif args.command == "simulate":
             cmd_simulate(cfg, args.mesh, args.strokes, args.out, colored=args.colored)
         elif args.command == "evaluate":
-            cmd_evaluate(cfg, args.dataset, args.out, checkpoint=args.checkpoint,
+            cmd_evaluate(cfg, dataset, args.out, checkpoint=args.checkpoint,
                          ground_truth=args.ground_truth, concat=args.concat)
         elif args.command == "sweep":
             values = [float(v) for v in args.values.split(",") if v.strip()]
-            cmd_sweep(cfg, args.dataset, args.out, args.param, values)
+            cmd_sweep(cfg, dataset, args.out, args.param, values)
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

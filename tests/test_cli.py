@@ -52,7 +52,7 @@ def tiny_dataset(tmp_path_factory):
 def tiny_checkpoint(tiny_dataset, tmp_path_factory):
     cfg, data = tiny_dataset
     out = tmp_path_factory.mktemp("run")
-    ckpt = cli.cmd_train(cfg, data, out)
+    ckpt = cli.cmd_train(cfg, cli.Dataset(data), out)
     return cfg, data, ckpt
 
 
@@ -154,7 +154,7 @@ class TestTrainPredict:
         outputs = []
         for workers in (1, 3):
             helped = spread_over(monkeypatch, workers)
-            ckpt = cli.cmd_train(cfg, data, tmp_path / str(workers))
+            ckpt = cli.cmd_train(cfg, cli.Dataset(data), tmp_path / str(workers))
             outputs.append((ckpt.read_bytes(), (ckpt.parent / "loss.csv").read_bytes()))
             assert bool(helped) == (workers > 1)
         assert outputs[1] == outputs[0]
@@ -163,20 +163,20 @@ class TestTrainPredict:
         cfg, data = tiny_dataset
         cfg = load_config(None, tiny_overrides(fraction=0.4, epochs=2))
         out = tmp_path / "frac"
-        cli.cmd_train(cfg, data, out)
+        cli.cmd_train(cfg, cli.Dataset(data), out)
         info = dict(line.split(" = ") for line in
                     (out / "train_info.txt").read_text().splitlines())
         assert len(info["train_ids"].split(",")) == 2
 
     def test_predict_and_concat(self, tiny_checkpoint, tmp_path):
         cfg, data, ckpt = tiny_checkpoint
-        pred_dir = cli.cmd_predict(cfg, ckpt, data, tmp_path / "pred")
+        pred_dir = cli.cmd_predict(cfg, ckpt, cli.Dataset(data), tmp_path / "pred")
         _, test_ids = cli.read_split(data)
         segments = synthdata.load_strokes(pred_dir / f"{test_ids[0]}.txt")
         meta = cli.read_meta(data)
         slots = synthdata.output_slot_count(meta["budget"], cfg.lam, cfg.overlap)
         assert len(segments) == slots
-        linked_dir = cli.cmd_concat(cfg, pred_dir, data, tmp_path / "linked")
+        linked_dir = cli.cmd_concat(cfg, pred_dir, cli.Dataset(data), tmp_path / "linked")
         strokes = synthdata.load_strokes(linked_dir / f"{test_ids[0]}.txt")
         assert sum(len(s) for s in strokes) <= slots * cfg.lam
 
@@ -184,36 +184,53 @@ class TestTrainPredict:
         cfg, data, ckpt = tiny_checkpoint
         bad = load_config(None, tiny_overrides(latent_dim=8, epochs=1))
         with pytest.raises(cli.CliError):
-            cli.cmd_train(bad, data, tmp_path / "bad", pretrained=ckpt)
+            cli.cmd_train(bad, cli.Dataset(data), tmp_path / "bad", pretrained=ckpt)
 
     def test_pretrained_warm_start(self, tiny_checkpoint, tmp_path):
         cfg, data, ckpt = tiny_checkpoint
         warm = load_config(None, tiny_overrides(epochs=2))
-        out = cli.cmd_train(warm, data, tmp_path / "warm", pretrained=ckpt)
+        out = cli.cmd_train(warm, cli.Dataset(data), tmp_path / "warm", pretrained=ckpt)
         assert out.exists()
+
+    def test_train_predict_concat_read_no_file_they_do_not_use(self, tiny_checkpoint, tmp_path):
+        cfg, data, ckpt = tiny_checkpoint
+        copy = tmp_path / "dataset"
+        shutil.copytree(data, copy)
+        for mesh in copy.glob("samples/*/mesh.txt"):
+            mesh.unlink()
+        out = cli.cmd_train(cfg, cli.Dataset(copy), tmp_path / "run")
+        assert out.read_bytes() == ckpt.read_bytes()
+        pred = cli.cmd_predict(cfg, ckpt, cli.Dataset(copy), tmp_path / "pred")
+        assert tree_bytes(pred) == tree_bytes(cli.cmd_predict(cfg, ckpt, cli.Dataset(data),
+                                                              tmp_path / "pred_full"))
+        for strokes in copy.glob("samples/*/strokes.txt"):
+            strokes.unlink()
+        linked = cli.cmd_concat(cfg, pred, cli.Dataset(copy), tmp_path / "linked")
+        assert tree_bytes(linked) == tree_bytes(cli.cmd_concat(cfg, pred, cli.Dataset(data),
+                                                               tmp_path / "linked_full"))
 
     def test_pipeline_rerun_identical_bytes(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset
         for run in ("a", "b"):
             out = tmp_path / run
-            ckpt = cli.cmd_train(cfg, data, out / "run")
-            pred = cli.cmd_predict(cfg, ckpt, data, out / "pred")
-            cli.cmd_concat(cfg, pred, data, out / "linked")
-            cli.cmd_evaluate(cfg, data, out / "eval", checkpoint=ckpt, concat=True)
+            ckpt = cli.cmd_train(cfg, cli.Dataset(data), out / "run")
+            pred = cli.cmd_predict(cfg, ckpt, cli.Dataset(data), out / "pred")
+            cli.cmd_concat(cfg, pred, cli.Dataset(data), out / "linked")
+            cli.cmd_evaluate(cfg, cli.Dataset(data), out / "eval", checkpoint=ckpt, concat=True)
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
 class TestEvaluate:
     def test_ground_truth_passthrough(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset
-        rows = cli.cmd_evaluate(cfg, data, tmp_path / "gt", ground_truth=True)
+        rows = cli.cmd_evaluate(cfg, cli.Dataset(data), tmp_path / "gt", ground_truth=True)
         for row in rows:
             assert row.pcd < 1.0  # only trailing-pose truncation remains
             assert row.pc == 100.0
 
     def test_metrics_csv_mean_recomputable(self, tiny_checkpoint, tmp_path):
         cfg, data, ckpt = tiny_checkpoint
-        rows = cli.cmd_evaluate(cfg, data, tmp_path / "ev", checkpoint=ckpt)
+        rows = cli.cmd_evaluate(cfg, cli.Dataset(data), tmp_path / "ev", checkpoint=ckpt)
         lines = (tmp_path / "ev" / "metrics.csv").read_text().splitlines()
         body = [line.split(",") for line in lines[1:-1]]
         mean_line = lines[-1].split(",")
@@ -224,7 +241,8 @@ class TestEvaluate:
 
     def test_concat_artifacts(self, tiny_checkpoint, tmp_path):
         cfg, data, ckpt = tiny_checkpoint
-        rows = cli.cmd_evaluate(cfg, data, tmp_path / "evc", checkpoint=ckpt, concat=True)
+        rows = cli.cmd_evaluate(cfg, cli.Dataset(data), tmp_path / "evc", checkpoint=ckpt,
+                                concat=True)
         _, test_ids = cli.read_split(data)
         d = tmp_path / "evc" / test_ids[0]
         assert (d / "gt_thickness.txt").exists()
@@ -236,7 +254,8 @@ class TestEvaluate:
         read_meta = cli.read_meta
         calls = []
         monkeypatch.setattr(cli, "read_meta", lambda d: calls.append(d) or read_meta(d))
-        cli.cmd_train(load_config(None, tiny_overrides(epochs=1)), data, tmp_path / "run")
+        cli.cmd_train(load_config(None, tiny_overrides(epochs=1)), cli.Dataset(data),
+                      tmp_path / "run")
         assert len(calls) == 1
 
     def test_reads_dataset_metadata_once(self, tiny_checkpoint, tmp_path, monkeypatch):
@@ -248,9 +267,21 @@ class TestEvaluate:
         read_meta = cli.read_meta
         calls = []
         monkeypatch.setattr(cli, "read_meta", lambda d: calls.append(d) or read_meta(d))
-        cli.cmd_evaluate(two, data, tmp_path / "gt", ground_truth=True)
-        cli.cmd_predict(cfg, ckpt, data, tmp_path / "pred", ids=train_ids)
+        cli.cmd_evaluate(two, cli.Dataset(data), tmp_path / "gt", ground_truth=True)
+        cli.cmd_predict(cfg, ckpt, cli.Dataset(data), tmp_path / "pred", ids=train_ids)
         assert len(calls) == 2   # one per command, not one per sample
+        tau = load_config(None, tiny_overrides(categories="cuboids,windows", epochs=1))
+        cli.cmd_sweep(tau, cli.Dataset(data), tmp_path / "sweep", "tau", [0.05, 0.3])
+        assert len(calls) == 3   # one per command, not one per tau value
+
+    def test_direct_calls_with_a_dataset_directory(self, tiny_dataset):
+        # perfbench/record.py makes these two calls with the dataset's path
+        cfg, data = tiny_dataset
+        sid = cli.read_split(data)[1][0]
+        mesh, _, strokes = cli.load_dataset_sample(data, sid)
+        assert len(mesh.vertices) > 0 and len(strokes) > 0
+        row = cli.evaluate_sample(cfg, data, sid, None, concat=True)
+        assert row.sample_id == sid and row.pc == 100.0
 
     def test_ground_truth_concat_calls_no_training_loss(self, tiny_dataset, tmp_path,
                                                          monkeypatch):
@@ -268,7 +299,8 @@ class TestEvaluate:
                     if inspect.isfunction(value) and value in losses:
                         monkeypatch.setattr(module, attr, refuse)
         cfg, data = tiny_dataset
-        rows = cli.cmd_evaluate(cfg, data, tmp_path / "gt", ground_truth=True, concat=True)
+        rows = cli.cmd_evaluate(cfg, cli.Dataset(data), tmp_path / "gt", ground_truth=True,
+                                concat=True)
         assert rows and all(np.isfinite(row.pcd) for row in rows)
 
     @pytest.mark.parametrize("pcd", [float("nan"), float("inf")])
@@ -279,7 +311,7 @@ class TestEvaluate:
     def test_needs_checkpoint_or_flag(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset
         with pytest.raises(cli.CliError):
-            cli.cmd_evaluate(cfg, data, tmp_path / "no")
+            cli.cmd_evaluate(cfg, cli.Dataset(data), tmp_path / "no")
 
 
 class TestAtomicWrites:
@@ -288,17 +320,18 @@ class TestAtomicWrites:
                                                  monkeypatch, failure):
         cfg, data, ckpt = tiny_checkpoint
         out = tmp_path / "out"
-        cli.cmd_train(load_config(None, tiny_overrides(epochs=1)), data, out / "run")
-        cli.cmd_evaluate(cfg, data, out / "eval", ground_truth=True)
+        cli.cmd_train(load_config(None, tiny_overrides(epochs=1)), cli.Dataset(data), out / "run")
+        cli.cmd_evaluate(cfg, cli.Dataset(data), out / "eval", ground_truth=True)
         before = tree_bytes(out)
         assert {"run/checkpoint.ckpt", "eval/metrics.csv"} <= before.keys()
         with monkeypatch.context() as m:
             fail_part_way(m, failure)
             with pytest.raises(OSError):
-                cli.cmd_train(load_config(None, tiny_overrides(epochs=2)), data, out / "run")
+                cli.cmd_train(load_config(None, tiny_overrides(epochs=2)), cli.Dataset(data),
+                              out / "run")
             assert tree_bytes(out) == before
             with pytest.raises(OSError):
-                cli.cmd_evaluate(cfg, data, out / "eval", checkpoint=ckpt)
+                cli.cmd_evaluate(cfg, cli.Dataset(data), out / "eval", checkpoint=ckpt)
         assert tree_bytes(out) == before   # same names too: no temporary file is left
 
 
@@ -340,7 +373,7 @@ class TestSweep:
     def test_tau_sweep_stroke_counts_non_increasing(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset
         out = tmp_path / "sweep"
-        cli.cmd_sweep(cfg, data, out, "tau", [0.0, 0.15, 1.0])
+        cli.cmd_sweep(cfg, cli.Dataset(data), out, "tau", [0.0, 0.15, 1.0])
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "tau,pcd_x1e4,pc,segments,strokes"
         strokes = [float(line.split(",")[4]) for line in lines[1:]]
@@ -356,12 +389,25 @@ class TestSweep:
         monkeypatch.setattr(spraysim, "deposit",
                             lambda *args: calls.append(args) or deposit(*args))
         out = tmp_path / "sweep"
-        cli.cmd_sweep(cfg, data, out, "tau", [0.05, 0.3])
+        cli.cmd_sweep(cfg, cli.Dataset(data), out, "tau", [0.05, 0.3])
         assert len(calls) == len(test_ids) * 3   # one ground truth + two predictions
         for sid in test_ids:
             gt = [(out / f"tau_{v:g}" / sid / "gt_thickness.txt").read_bytes()
                   for v in (0.05, 0.3)]
             assert gt[0] == gt[1]
+
+    def test_tau_sweep_loads_the_model_and_predicts_each_sample_once(self, tiny_dataset, tmp_path,
+                                                                     monkeypatch):
+        cfg, data = tiny_dataset
+        _, test_ids = cli.read_split(data)
+        calls = {"predict": [], "load_checkpoint": []}
+        for name, calls_of in calls.items():
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, real=real, calls_of=calls_of:
+                                calls_of.append(args) or real(*args))
+        cli.cmd_sweep(cfg, cli.Dataset(data), tmp_path / "sweep", "tau", [0.05, 0.3])
+        assert len(calls["predict"]) == len(test_ids)
+        assert len(calls["load_checkpoint"]) == 1
 
     @pytest.mark.parametrize("param,values", [("overlap", [0.0, 2.0]), ("lambda", [1.0, 3.0])])
     def test_model_sweep_deposits_each_ground_truth_once(self, tiny_dataset, tmp_path,
@@ -373,7 +419,7 @@ class TestSweep:
         monkeypatch.setattr(spraysim, "deposit",
                             lambda *args: calls.append(args) or deposit(*args))
         out = tmp_path / "sweep"
-        cli.cmd_sweep(cfg, data, out, param, values)
+        cli.cmd_sweep(cfg, cli.Dataset(data), out, param, values)
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == f"{param},pcd_x1e4,pc,segments,strokes"
         table = np.array([line.split(",") for line in lines[1:]], dtype=float)
@@ -417,17 +463,17 @@ class TestSweep:
     def test_non_integer_values_rejected(self, tiny_dataset, tmp_path, param):
         cfg, data = tiny_dataset
         with pytest.raises(cli.CliError, match="integer"):
-            cli.cmd_sweep(cfg, data, tmp_path / "s", param, [1.5])
+            cli.cmd_sweep(cfg, cli.Dataset(data), tmp_path / "s", param, [1.5])
 
     def test_empty_values(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset
         with pytest.raises(cli.CliError):
-            cli.cmd_sweep(cfg, data, tmp_path / "s", "tau", [])
+            cli.cmd_sweep(cfg, cli.Dataset(data), tmp_path / "s", "tau", [])
 
     def test_bad_param(self, tiny_dataset, tmp_path):
         cfg, data = tiny_dataset
         with pytest.raises(cli.CliError):
-            cli.cmd_sweep(cfg, data, tmp_path / "s", "flux", [1.0])
+            cli.cmd_sweep(cfg, cli.Dataset(data), tmp_path / "s", "flux", [1.0])
 
 
 class TestMainEntry:
@@ -553,6 +599,31 @@ class TestMainEntry:
                 if old != new)
             assert f"{path}:{lineno}:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--ground-truth"],
+        ["evaluate", "--checkpoint"],
+        ["sweep", "--param", "tau", "--values", "0.1,0.2"],
+        ["sweep", "--param", "lambda", "--values", "2,4"],
+        ["sweep", "--param", "overlap", "--values", "0,1"],
+    ], ids=["evaluate_ground_truth", "evaluate_checkpoint", "sweep_tau", "sweep_lambda",
+            "sweep_overlap"])
+    def test_split_with_no_test_sample_fails_before_any_work(self, tiny_checkpoint, tmp_path,
+                                                             argv, capsys):
+        _, data, ckpt = tiny_checkpoint
+        copy = tmp_path / "dataset"
+        shutil.copytree(data, copy)
+        split = copy / "split.txt"
+        lines = split.read_text().splitlines(True)
+        split.write_text("".join(line for line in lines if not line.endswith(" test\n")))
+        conf = tmp_path / "conf.txt"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in tiny_overrides(epochs=1).items()))
+        out = tmp_path / "out"
+        argv = [*argv, str(ckpt)] if argv[-1] == "--checkpoint" else argv
+        assert cli.main([*argv, "--config", str(conf), "--dataset", str(copy),
+                         "--out", str(out)]) == 1
+        assert f"{split}: no sample is labelled test" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_extra_stroke_over_the_budget_fails_naming_both_files(self, tiny_dataset,
                                                                   tmp_path, capsys):
         _, data = tiny_dataset
@@ -598,7 +669,7 @@ class TestMainEntry:
     def test_concat_rejects_a_file_not_in_the_split(self, tiny_checkpoint, tmp_path, name,
                                                     capsys):
         cfg, data, ckpt = tiny_checkpoint
-        pred = cli.cmd_predict(cfg, ckpt, data, tmp_path / "pred")
+        pred = cli.cmd_predict(cfg, ckpt, cli.Dataset(data), tmp_path / "pred")
         first = sorted(pred.iterdir())[0]
         shutil.copyfile(first, pred / name)
         out = tmp_path / "linked"
