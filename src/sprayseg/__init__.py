@@ -47,7 +47,6 @@ from .objective import (
     attraction_loss,
     chamfer_segments,
     total_loss,
-    weighted_pose_distance,
 )
 from .spraysim import (
     CoverageReport,

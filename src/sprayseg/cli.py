@@ -319,6 +319,19 @@ def build_model_config(cfg: ExperimentConfig, train_strokes, dataset: Dataset) -
                        head_hidden=cfg.head_hidden, mode=cfg.mode)
 
 
+def _decompose(path, strokes, lam: int, overlap: int) -> np.ndarray:
+    """`decompose_segments` of the strokes read from `path`; its errors name the file."""
+    try:
+        return synthdata.decompose_segments(strokes, lam, overlap)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
+def _check_linkable(lam: int, source) -> None:
+    if lam < 2:
+        raise CliError(f"{source}: linking needs segments of at least 2 poses, got lam = {lam}")
+
+
 def _select_fraction(ids: list[str], fraction: float, seed: int) -> list[str]:
     n = max(1, int(round(fraction * len(ids))))
     order = np.random.default_rng([19, seed]).permutation(len(ids))
@@ -357,17 +370,14 @@ def cmd_train(cfg: ExperimentConfig, dataset: Dataset, out_dir,
                 for s in nstrokes])
         else:
             overlap = 0 if model_cfg.mode == "pointwise" else cfg.overlap
-            try:
-                target = synthdata.decompose_segments(nstrokes, model_cfg.lam, overlap)
-            except ValueError as exc:
-                raise CliError(f"{path}: {exc}") from exc
+            target = _decompose(path, nstrokes, model_cfg.lam, overlap)
         samples.append(TrainingSample(cloud=ncloud, target=target))
     initial = None
     if pretrained is not None:
         initial = load_checkpoint(pretrained)
         if initial.config != model_cfg:
-            raise CliError("pretrained checkpoint does not match the model shape "
-                           "this dataset/config produces")
+            raise CliError(f"{pretrained}: pretrained checkpoint does not match the model "
+                           "shape this dataset/config produces")
     params, history = train(samples, model_cfg, cfg.train_config(), initial=initial)
     save_checkpoint(out_dir / "checkpoint.ckpt", params)
     write_file(out_dir / "loss.csv", "epoch,total,y2s,b2e\n" + format_rows(
@@ -402,6 +412,7 @@ def cmd_concat(cfg: ExperimentConfig, pred_dir, dataset: Dataset, out_dir) -> Pa
     dataset.check_listed({path.stem: path for path in paths})
     for path in paths:
         _, nsegments, tf = dataset.normalize(path.stem, synthdata.load_strokes(path))
+        _check_linkable(min(len(s) for s in nsegments), path)
         strokes = linker.concatenate(np.stack(nsegments), link_cfg)
         synthdata.save_strokes(geometry.denormalize(strokes, tf), out_dir / path.name)
     return out_dir
@@ -443,7 +454,7 @@ def evaluate_sample(cfg: ExperimentConfig, dataset: Dataset, sid: str, checkpoin
     sample = dataset.sample(sid)
     _, nstrokes, tf = dataset.normalize(sid, sample.strokes)
     if checkpoint is None:
-        pred = synthdata.decompose_segments(nstrokes, cfg.lam, cfg.overlap)
+        pred = _decompose(sample.path / "strokes.txt", nstrokes, cfg.lam, cfg.overlap)
     else:
         pred = dataset.prediction(sid, checkpoint)
     gt_poses = np.concatenate(nstrokes)
@@ -486,8 +497,10 @@ def cmd_evaluate(cfg: ExperimentConfig, dataset: Dataset, out_dir, checkpoint=No
     if not ground_truth and checkpoint is None:
         raise CliError("evaluate needs --checkpoint or --ground-truth")
     checkpoint = None if ground_truth else checkpoint
-    if checkpoint is not None:
-        dataset.model(checkpoint)   # a bad checkpoint fails before any sample is read
+    # a bad checkpoint, or segments too short to link, fail before any sample is read
+    lam = cfg.lam if checkpoint is None else dataset.model(checkpoint).config.lam
+    if concat:
+        _check_linkable(lam, "lam" if checkpoint is None else checkpoint)
     rows = [evaluate_sample(cfg, dataset, sid, checkpoint, concat, artifacts_dir=out_dir)
             for sid in dataset.test_ids]
     _write_metrics(rows, out_dir / "metrics.csv")
@@ -518,6 +531,8 @@ def cmd_sweep(cfg: ExperimentConfig, dataset: Dataset, out_dir, param: str,
     else:
         run_cfgs = [replace(cfg, lam=int(v), overlap=min(cfg.overlap, int(v) - 1),
                             mode="segments" if v > 1 else "pointwise") for v in values]
+    if param == "tau" and cfg.mode != "multipath_regression":
+        _check_linkable(1 if cfg.mode == "pointwise" else cfg.lam, "mode, lam")
     out_dir = Path(out_dir)
     ckpt = cmd_train(cfg, dataset, out_dir / "model") if param == "tau" else None
     model_cfg = None

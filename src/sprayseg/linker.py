@@ -1,15 +1,14 @@
 """Greedy concatenation of predicted segments into long strokes.
 
 Segments are graph nodes; a directed edge k -> j means "j continues k". Each
-node keeps at most one outgoing and one incoming edge. Candidate edges are
-committed in ascending score order while the score stays below a threshold,
-re-evaluating a node's best target whenever its previous choice gets taken.
+node keeps at most one outgoing and one incoming edge. One pass over the
+candidate edges scored below a threshold, in ascending score order, commits
+each edge whose source has no successor and whose target no predecessor yet.
 Committed junctions merge the two overlapping poses into their average.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,32 +60,21 @@ def link_distances(segments: np.ndarray, weights: LossWeights) -> np.ndarray:
 
 
 def build_link_graph(segments: np.ndarray, config: LinkConfig) -> LinkGraph:
-    """Greedy degree-constrained linking; deterministic with (score, k, j) ordering."""
+    """Keep each edge with d < tau, in ascending (d, k, j) order, whose k has no successor
+    and whose j has no predecessor yet. These are the paper's edges: an end once taken
+    stays taken, so every edge before a kept one was seen with a taken end, and the kept
+    edge is the smallest (d, k, j) left free, i.e. the k with the smallest d_k linked to
+    its nearest successor among those with no predecessor."""
     segments = np.asarray(segments, dtype=np.float64)
-    k_total = len(segments)
-    succ = np.full(k_total, -1, dtype=np.int64)
-    pred = np.full(k_total, -1, dtype=np.int64)
-    if k_total < 2:
-        return LinkGraph(succ, pred)
-    dist = link_distances(segments, config.weights)
-    heap = []
-    for k in range(k_total):
-        j = int(np.argmin(dist[k]))
-        if np.isfinite(dist[k, j]) and dist[k, j] < config.tau:
-            heapq.heappush(heap, (float(dist[k, j]), k, j))
-    while heap:
-        # each source has at most one heap entry, so a popped k is still unlinked
-        d, k, j = heapq.heappop(heap)
-        if pred[j] != -1:
-            # target taken: re-evaluate over remaining free targets
-            row = np.where(pred == -1, dist[k], np.inf)
-            j2 = int(np.argmin(row))
-            if np.isfinite(row[j2]) and row[j2] < config.tau:
-                heapq.heappush(heap, (float(row[j2]), k, j2))
-            continue
-        succ[k] = j
-        pred[j] = k
-    return LinkGraph(succ, pred)
+    succ, pred = [-1] * len(segments), [-1] * len(segments)
+    if len(segments) >= 2:   # link_distances would reject a lone single-pose segment
+        dist = link_distances(segments, config.weights)
+        src, dst = np.nonzero(dist < config.tau)
+        order = np.argsort(dist[src, dst], kind="stable")
+        for k, j in zip(src[order].tolist(), dst[order].tolist()):
+            if succ[k] == -1 and pred[j] == -1:
+                succ[k], pred[j] = j, k
+    return LinkGraph(np.array(succ, dtype=np.int64), np.array(pred, dtype=np.int64))
 
 
 def _merge_pose(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -45,12 +45,6 @@ class LossReport:
     gradient: np.ndarray  # (K* * lam * 6,)
 
 
-def weighted_pose_distance(a: np.ndarray, b: np.ndarray, weights: LossWeights) -> float:
-    """Squared position plus weighted squared orientation distance, summed over aligned poses."""
-    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    return float((weights.vector() * d * d).sum())
-
-
 def _sq_dist_matrix(aw: np.ndarray, bw: np.ndarray) -> np.ndarray:
     """All pairwise squared distances between rows, by the |a|^2 + |b|^2 - 2ab expansion.
 

@@ -56,6 +56,14 @@ def tiny_checkpoint(tiny_dataset, tmp_path_factory):
     return cfg, data, ckpt
 
 
+@pytest.fixture(scope="module")
+def pointwise_checkpoint(tiny_dataset, tmp_path_factory):
+    """A model that predicts single-pose segments, which cannot be linked."""
+    _, data = tiny_dataset
+    cfg = load_config(None, tiny_overrides(mode="pointwise", epochs=1))
+    return cfg, data, cli.cmd_train(cfg, cli.Dataset(data), tmp_path_factory.mktemp("pw"))
+
+
 def tree_bytes(root):
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -183,8 +191,9 @@ class TestTrainPredict:
     def test_pretrained_shape_mismatch(self, tiny_checkpoint, tmp_path):
         cfg, data, ckpt = tiny_checkpoint
         bad = load_config(None, tiny_overrides(latent_dim=8, epochs=1))
-        with pytest.raises(cli.CliError):
+        with pytest.raises(cli.CliError, match="pretrained checkpoint does not match") as info:
             cli.cmd_train(bad, cli.Dataset(data), tmp_path / "bad", pretrained=ckpt)
+        assert str(info.value).startswith(f"{ckpt}: ")
 
     def test_pretrained_warm_start(self, tiny_checkpoint, tmp_path):
         cfg, data, ckpt = tiny_checkpoint
@@ -651,6 +660,58 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert str(data / "samples" / train_ids[0] / "strokes.txt") in err
         assert "shorter than lam=20" in err
+
+    def test_ground_truth_stroke_shorter_than_lambda_fails_naming_the_file(self, tiny_dataset,
+                                                                          tmp_path, capsys):
+        _, data = tiny_dataset
+        _, test_ids = cli.read_split(data)
+        argv = ["evaluate", "--dataset", str(data), "--ground-truth", "--lambda", "20",
+                "--out", str(tmp_path / "e")]
+        assert cli.main(argv) == 1
+        strokes = data / "samples" / test_ids[0] / "strokes.txt"
+        assert (f"error: {strokes}: stroke of 16 poses is shorter than lam=20"
+                in capsys.readouterr().err)
+
+    def test_concat_of_single_pose_segments_fails_naming_the_file(self, pointwise_checkpoint,
+                                                                  tmp_path, capsys):
+        cfg, data, ckpt = pointwise_checkpoint
+        pred = cli.cmd_predict(cfg, ckpt, cli.Dataset(data), tmp_path / "pred")
+        out = tmp_path / "linked"
+        argv = ["concat", "--dataset", str(data), "--pred", str(pred), "--out", str(out)]
+        assert cli.main(argv) == 1
+        first = sorted(pred.glob("*.txt"))[0]
+        assert (f"error: {first}: linking needs segments of at least 2 poses"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["checkpoint", "lam"])
+    def test_evaluate_concat_of_single_pose_segments_fails_before_any_sample(
+            self, pointwise_checkpoint, tmp_path, capsys, monkeypatch, source):
+        _, data, ckpt = pointwise_checkpoint
+        monkeypatch.setattr(cli, "load_dataset_sample",
+                            lambda *args: pytest.fail("a sample was read"))
+        out = tmp_path / "e"
+        argv = ["evaluate", "--dataset", str(data), "--concat", "--out", str(out)]
+        argv += (["--checkpoint", str(ckpt)] if source == "checkpoint"
+                 else ["--ground-truth", "--lambda", "1", "--overlap", "0"])
+        assert cli.main(argv) == 1
+        named = ckpt if source == "checkpoint" else "lam"
+        assert (f"error: {named}: linking needs segments of at least 2 poses"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_tau_sweep_of_a_pointwise_model_fails_before_training(self, tiny_dataset, tmp_path,
+                                                                  capsys):
+        _, data = tiny_dataset
+        conf = tmp_path / "conf.txt"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in
+                                tiny_overrides(mode="pointwise", epochs=1).items()))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(conf), "--dataset", str(data), "--param", "tau",
+                         "--values", "0.1,0.2", "--out", str(out)]) == 1
+        assert ("error: mode, lam: linking needs segments of at least 2 poses"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["", "..", ".", "nonexistent"])
     def test_predict_rejects_an_id_not_in_the_split(self, tiny_checkpoint, tmp_path, bad,

@@ -145,3 +145,48 @@ class TestConcatenate:
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
             LinkConfig(tau=-0.1)
+
+
+def paper_rule(segments, config):
+    """The paper's linking rule written out, O(K^3): until no edge is left, among the
+    segments k with no successor, commit the smallest (d, k, j) over the targets j != k
+    with no predecessor and d < tau."""
+    n = len(segments)
+    succ, pred = [-1] * n, [-1] * n
+    pairs = [(k, j) for k in range(n) for j in range(n) if j != k]
+    dist = link_distances(segments, config.weights) if pairs else None
+    while True:
+        free = [(dist[k, j], k, j) for k, j in pairs
+                if succ[k] == -1 and pred[j] == -1 and dist[k, j] < config.tau]
+        if not free:
+            return succ, pred
+        _, k, j = min(free)
+        succ[k], pred[j] = j, k
+
+
+class TestLinkOrder:
+    @pytest.mark.parametrize("grid", [False, True], ids=["continuous", "coarse_grid"])
+    def test_matches_the_paper_rule(self, grid):
+        rng = np.random.default_rng(11)
+        ties = 0
+        for k_total in [0, 1, 2, *range(3, 14)] * 8:
+            shape = (k_total, int(rng.integers(2, 5)), 6)
+            # coordinates of 0, 0.5 and 1 make the scores exact, with many real ties
+            segs = rng.integers(0, 3, size=shape) / 2 if grid else rng.normal(size=shape)
+            scores = (link_distances(segs, W)[~np.eye(k_total, dtype=bool)]
+                      if k_total >= 2 else np.zeros(0))
+            ties += len(scores) - len(np.unique(scores))
+            # tau = 0, equal to a score, in between, and above every score
+            for tau in (0.0, rng.choice(scores) if len(scores) else 1.0,
+                        float(rng.uniform(0.0, 20.0)), scores.max(initial=0.0) + 1.0):
+                cfg = LinkConfig(tau=tau, weights=W)
+                graph = build_link_graph(segs, cfg)
+                assert graph.succ.dtype == graph.pred.dtype == np.int64
+                assert (graph.succ.tolist(), graph.pred.tolist()) == paper_rule(segs, cfg)
+        assert (ties > 0) == grid
+
+    def test_single_pose_segment(self):
+        segs = np.zeros((1, 1, 6))
+        cfg = LinkConfig(tau=1.0, weights=W)
+        graph = build_link_graph(segs, cfg)
+        assert (graph.succ.tolist(), graph.pred.tolist()) == paper_rule(segs, cfg) == ([-1], [-1])

@@ -7,7 +7,6 @@ from sprayseg.objective import (
     chamfer_segments,
     regression_loss,
     total_loss,
-    weighted_pose_distance,
 )
 
 from conftest import finite_difference_gradient, min_gap, random_segments, relative_error
@@ -17,40 +16,6 @@ W = LossWeights(alpha=0.5, orientation_weight=0.25)
 
 def pose(px, py, pz, ox=0.0, oy=0.0, oz=1.0):
     return np.array([px, py, pz, ox, oy, oz], dtype=float)
-
-
-class TestPoseDistance:
-    def test_identical(self):
-        p = pose(1, 2, 3)
-        assert weighted_pose_distance(p, p, W) == 0.0
-
-    def test_opposite_orientations(self):
-        a = pose(0, 0, 0, 0, 0, 1)
-        b = pose(0, 0, 0, 0, 0, -1)
-        assert weighted_pose_distance(a, b, W) == pytest.approx(0.25 * 4.0)
-
-    def test_position_offset(self):
-        assert weighted_pose_distance(pose(0, 0, 0), pose(1, 0, 0), W) == pytest.approx(1.0)
-
-
-class TestSegmentDistance:
-    def test_identical(self):
-        seg = np.stack([pose(i, 0, 0) for i in range(3)])
-        assert weighted_pose_distance(seg, seg, W) == 0.0
-
-    def test_order_sensitive(self):
-        seg = np.stack([pose(i, 0, 0) for i in range(3)])
-        assert weighted_pose_distance(seg, seg[::-1], W) > 0.0
-
-    def test_offset(self):
-        seg = np.stack([pose(0, 0, 0), pose(1, 0, 0)])
-        moved = seg.copy()
-        moved[:, 0] += 1.0
-        assert weighted_pose_distance(seg, moved, W) == pytest.approx(2.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_pose_distance(np.zeros((2, 6)), np.zeros((3, 6)), W)
 
 
 class TestChamfer:
@@ -74,11 +39,17 @@ class TestChamfer:
         assert shuffled2 == pytest.approx(base, rel=1e-12)
 
     def test_singleton_offset(self):
+        # a unit position offset costs 1 per pose and direction; reversing the
+        # orientation costs 4 per pose and direction, scaled by orientation_weight
         seg = np.stack([pose(i, 0, 0) for i in range(4)])
         moved = seg.copy()
         moved[:, 0] += 1.0
-        loss, _ = chamfer_segments(seg[None], moved[None], W)
-        assert loss == pytest.approx(8.0)
+        flipped = seg.copy()
+        flipped[:, 5] = -1.0
+        for other, weights, want in [(moved, W, 8.0), (flipped, W, 8.0),
+                                     (flipped, LossWeights(orientation_weight=0.5), 16.0)]:
+            loss, _ = chamfer_segments(seg[None], other[None], weights)
+            assert loss == pytest.approx(want)
 
     def test_symmetry_when_counts_match(self):
         rng = np.random.default_rng(4)
