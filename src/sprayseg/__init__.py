@@ -67,7 +67,6 @@ from .synthdata import (
     save_sample,
     save_strokes,
     split_dataset,
-    validate_strokes,
 )
 
 __version__ = "0.1.0"

@@ -170,13 +170,11 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> Path:
         train_ids.extend(cat_train)
         split_lines.extend(f"{sid} train" for sid in cat_train)
         split_lines.extend(f"{sid} test" for sid in cat_test)
-    scale = 0.0
+    scale = 0.0   # the largest train coordinate in the model frame at scale 1
     for sid in train_ids:
         rec, cloud = records[sid]
-        centroid = cloud.mean(axis=0)
-        scale = max(scale, float(np.abs(cloud - centroid).max()))
-        for s in rec.strokes:
-            scale = max(scale, float(np.abs(s[:, :3] - centroid).max()))
+        ncloud, nstrokes, _ = geometry.normalize(cloud, rec.strokes, 1.0)
+        scale = max(scale, *(float(np.abs(a[:, :3]).max()) for a in (ncloud, *nstrokes)))
     for sid, (rec, cloud) in records.items():
         synthdata.save_sample(rec, samples_dir / sid)
         geometry.save_point_cloud(cloud, samples_dir / sid / "cloud.txt")
@@ -279,7 +277,11 @@ class Dataset:
 
     def normalize(self, sid: str, strokes=()):
         """`sid`'s cloud and `strokes` in the model's frame, and the transform back."""
-        return geometry.normalize(self.sample(sid).cloud, strokes, self.meta["scale_factor"])
+        sample = self.sample(sid)
+        if len(sample.cloud) != self.meta["cloud_points"]:
+            raise CliError(f"{sample.path / 'cloud.txt'}: {len(sample.cloud)} points, but "
+                           f"{self.meta_path} has cloud_points = {self.meta['cloud_points']}")
+        return geometry.normalize(sample.cloud, strokes, self.meta["scale_factor"])
 
     def gt_field(self, sid: str, gun: spraysim.SprayGunModel) -> np.ndarray:
         """The paint field of `sid`'s expert strokes under `gun`, deposited once."""
@@ -292,8 +294,11 @@ class Dataset:
         """The checkpoint's parameters; the last checkpoint asked for stays loaded, with
         its predictions."""
         if self._checkpoint != str(checkpoint):
-            self._checkpoint, self._params = str(checkpoint), load_checkpoint(checkpoint)
-            self._predictions = {}
+            params = load_checkpoint(checkpoint)
+            if params.config.input_points != self.meta["cloud_points"]:
+                raise CliError(f"{checkpoint}: input_points = {params.config.input_points}, but "
+                               f"{self.meta_path} has cloud_points = {self.meta['cloud_points']}")
+            self._checkpoint, self._params, self._predictions = str(checkpoint), params, {}
         return self._params
 
     def prediction(self, sid: str, checkpoint) -> np.ndarray:
@@ -395,8 +400,8 @@ def cmd_predict(cfg: ExperimentConfig, checkpoint, dataset: Dataset, out_dir,
     out_dir = Path(out_dir)
     dataset.check_listed(dict.fromkeys(ids or (), "--ids"))
     for sid in dataset.test_ids if ids is None else ids:
-        _, _, tf = dataset.normalize(sid)
-        synthdata.save_strokes(geometry.denormalize(dataset.prediction(sid, checkpoint), tf),
+        segments = dataset.prediction(sid, checkpoint)   # the checkpoint loads first
+        synthdata.save_strokes(geometry.denormalize(segments, dataset.normalize(sid)[2]),
                                out_dir / f"{sid}.txt")
     return out_dir
 
@@ -412,7 +417,11 @@ def cmd_concat(cfg: ExperimentConfig, pred_dir, dataset: Dataset, out_dir) -> Pa
     dataset.check_listed({path.stem: path for path in paths})
     for path in paths:
         _, nsegments, tf = dataset.normalize(path.stem, synthdata.load_strokes(path))
-        _check_linkable(min(len(s) for s in nsegments), path)
+        lengths = [len(s) for s in nsegments]
+        for k, n in enumerate(lengths):
+            if n != lengths[0]:
+                raise CliError(f"{path}: segment {k} has {n} poses, segment 0 has {lengths[0]}")
+        _check_linkable(lengths[0], path)
         strokes = linker.concatenate(np.stack(nsegments), link_cfg)
         synthdata.save_strokes(geometry.denormalize(strokes, tf), out_dir / path.name)
     return out_dir
@@ -494,9 +503,8 @@ def cmd_evaluate(cfg: ExperimentConfig, dataset: Dataset, out_dir, checkpoint=No
                  ground_truth: bool = False, concat: bool = False) -> list[MetricsRow]:
     """Evaluate the test split; writes metrics.csv plus per-sample artifacts."""
     out_dir = Path(out_dir)
-    if not ground_truth and checkpoint is None:
-        raise CliError("evaluate needs --checkpoint or --ground-truth")
-    checkpoint = None if ground_truth else checkpoint
+    if ground_truth == (checkpoint is not None):
+        raise CliError("evaluate takes exactly one of --checkpoint and --ground-truth")
     # a bad checkpoint, or segments too short to link, fail before any sample is read
     lam = cfg.lam if checkpoint is None else dataset.model(checkpoint).config.lam
     if concat:

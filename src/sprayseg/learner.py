@@ -56,17 +56,20 @@ class ModelConfig:
         return self.slots * self.lam * 6
 
 
-def _layer_sizes(config: ModelConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    enc = (3, *config.encoder_hidden, config.latent_dim)
-    head = (config.latent_dim, *config.head_hidden, config.output_dim)
-    return enc, head
+def _layers(config: ModelConfig):
+    """Each layer as (chain, din, dout, offset), in the order of the flat array (and so of
+    a checkpoint): the encoder (chain 0), then the head (chain 1); per layer its W,
+    din x dout in row-major order, then its b."""
+    offset = 0
+    for chain, sizes in enumerate(((3, *config.encoder_hidden, config.latent_dim),
+                                   (config.latent_dim, *config.head_hidden, config.output_dim))):
+        for din, dout in zip(sizes[:-1], sizes[1:]):
+            yield chain, din, dout, offset
+            offset += din * dout + dout
 
 
 def num_params(config: ModelConfig) -> int:
-    total = 0
-    for sizes in _layer_sizes(config):
-        total += sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
-    return total
+    return sum(din * dout + dout for _, din, dout, _ in _layers(config))
 
 
 @dataclass
@@ -89,31 +92,20 @@ class ModelParams:
 
 def _unpack(config: ModelConfig, flat: np.ndarray):
     """Per-layer (W, b) views into the flat array, as (encoder_chain, head_chain)."""
-    chains = []
-    off = 0
-    for sizes in _layer_sizes(config):
-        chain = []
-        for din, dout in zip(sizes[:-1], sizes[1:]):
-            w = flat[off: off + din * dout].reshape(din, dout)
-            off += din * dout
-            b = flat[off: off + dout]
-            off += dout
-            chain.append((w, b))
-        chains.append(chain)
-    return chains[0], chains[1]
+    chains = ([], [])
+    for chain, din, dout, off in _layers(config):
+        w_end = off + din * dout
+        chains[chain].append((flat[off: w_end].reshape(din, dout), flat[w_end: w_end + dout]))
+    return chains
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Fan-in scaled uniform init, deterministic per seed."""
     rng = np.random.default_rng([11, seed])
     flat = np.empty(num_params(config))
-    off = 0
-    for sizes in _layer_sizes(config):
-        for din, dout in zip(sizes[:-1], sizes[1:]):
-            bound = 1.0 / np.sqrt(din)
-            count = din * dout + dout
-            flat[off: off + count] = rng.uniform(-bound, bound, count)
-            off += count
+    for _, din, dout, off in _layers(config):
+        bound = 1.0 / np.sqrt(din)
+        flat[off: off + din * dout + dout] = rng.uniform(-bound, bound, din * dout + dout)
     return ModelParams(config, flat)
 
 
@@ -140,12 +132,6 @@ def _mlp_buffers(chain, x: np.ndarray):
     """Each layer's output buffer, and the (input, output) caches they make."""
     zs = [np.empty((len(x), w.shape[1])) for w, _ in chain]
     return zs, list(zip([x, *zs[:-1]], zs))
-
-
-def _mlp_forward(chain, x: np.ndarray):
-    """The MLP on every row of x. Returns (out, caches)."""
-    zs, caches = _mlp_buffers(chain, x)
-    return _mlp_rows(chain, x, zs, slice(None)), caches
 
 
 def _mlp_backward(chain, caches, grad_views, g_out: np.ndarray) -> np.ndarray:
@@ -197,7 +183,8 @@ def _head_batch(params: ModelParams, latent: np.ndarray):
     """Latents (B, latent_dim) -> segments (B, slots, lam, 6) with unit orientations."""
     cfg = params.config
     _, head_chain = _unpack(cfg, params.flat)
-    out, head_caches = _mlp_forward(head_chain, latent)
+    zs, head_caches = _mlp_buffers(head_chain, latent)
+    out = _mlp_rows(head_chain, latent, zs, slice(None))
     raw = out.reshape(latent.shape[0], cfg.slots, cfg.lam, 6)
     pos = raw[..., :3]
     v = raw[..., 3:]

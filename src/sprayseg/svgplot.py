@@ -12,7 +12,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def line_plot(path, xs, series: dict[str, list[float]], xlabel: str, ylabel: str,
-              title: str = "") -> None:
+              title: str) -> None:
     """Write an SVG with one polyline per named series over common x values."""
     xs = [float(x) for x in xs]
     if not xs or not series:
@@ -36,10 +36,9 @@ def line_plot(path, xs, series: dict[str, list[float]], xlabel: str, ylabel: str
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
            f'viewBox="0 0 {width} {height}">',
-           f'<rect width="{width}" height="{height}" fill="white"/>']
-    if title:
-        out.append(f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="15">{title}</text>')
+           f'<rect width="{width}" height="{height}" fill="white"/>',
+           f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+           f'font-family="sans-serif" font-size="15">{title}</text>']
     out.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
                f'fill="none" stroke="#444"/>')
     for tx in _ticks(x_lo, x_hi):

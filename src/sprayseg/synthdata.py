@@ -17,7 +17,6 @@ from .geometry import TriMesh
 from .kvio import format_rows, load_rows, write_file, write_keyvalues
 
 CATEGORIES = ("cuboids", "windows", "shelves", "containers")
-_CAT_INDEX = {c: i for i, c in enumerate(CATEGORIES)}
 
 # Procedural generator distributions. Pass/turn counts are fixed per category
 # so that the stroke layout varies smoothly with the sampled dimensions.
@@ -55,17 +54,6 @@ class SampleRecord:
     strokes: list[np.ndarray]
     category: str
     seed: int
-
-
-def validate_strokes(strokes: list[np.ndarray]) -> None:
-    """Check pose-array invariants: shape, finiteness, unit orientations, motion."""
-    for s in strokes:
-        s = geometry.check_poses(s)
-        if len(s) < 2:
-            raise ValueError("each stroke must be an (N, 6) array with N >= 2")
-        steps = np.linalg.norm(np.diff(s[:, :3], axis=0), axis=1)
-        if (steps == 0).any():
-            raise ValueError("consecutive stroke positions must be distinct")
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +136,7 @@ def _raster_stroke(face_center, u_dir, v_dir, normal, half_u, half_v,
     """
     origin = np.asarray(face_center, dtype=np.float64) + standoff * np.asarray(normal, dtype=np.float64)
     vs = np.linspace(-half_v, half_v, n_passes)
-    if n_passes > 1:
-        vs = vs + phase * (vs[1] - vs[0])
+    vs = vs + phase * (vs[1] - vs[0])
     corners = []
     for i, v in enumerate(vs):
         u_from, u_to = (-half_u, half_u) if i % 2 == 0 else (half_u, -half_u)
@@ -262,7 +249,7 @@ def _gen_shelf(rng: np.random.Generator, face_grid: int) -> tuple[TriMesh, list[
             standoff, _SHELF_PASSES, _SHELF_POSES, tilt=tilt))
     # keep shelf-top poses closer to their own panel than to the shelf above
     # or the side panels, so orientations always face the nearest surface
-    air_gap = (h - 2 * t) / (n_sh - 1) - t if n_sh > 1 else h
+    air_gap = (h - 2 * t) / (n_sh - 1) - t
     shelf_standoff = min(standoff, 0.45 * air_gap)
     normal = np.array([0.0, 0.0, 1.0])
     for center, size in boxes[2:]:
@@ -324,7 +311,7 @@ def generate_object(category: str, seed: int, face_grid: int = 6) -> SampleRecor
     """
     if category not in CATEGORIES:
         raise ValueError(f"unknown category {category!r}; expected one of {CATEGORIES}")
-    rng = np.random.default_rng([_CAT_INDEX[category], seed])
+    rng = np.random.default_rng([CATEGORIES.index(category), seed])
     mesh, strokes = _GENERATORS[category](rng, face_grid)
     return SampleRecord(mesh=mesh, strokes=strokes, category=category, seed=seed)
 

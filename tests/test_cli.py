@@ -317,10 +317,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="pcd"):
             cli.MetricsRow(sample_id="s", pcd=pcd, pc=50.0, segments=1, strokes=1)
 
-    def test_needs_checkpoint_or_flag(self, tiny_dataset, tmp_path):
-        cfg, data = tiny_dataset
-        with pytest.raises(cli.CliError):
-            cli.cmd_evaluate(cfg, cli.Dataset(data), tmp_path / "no")
+    def test_needs_checkpoint_or_flag(self, tiny_checkpoint, tmp_path):
+        cfg, data, ckpt = tiny_checkpoint
+        for given in ({"checkpoint": ckpt, "ground_truth": True},
+                      {"checkpoint": tmp_path / "nonexistent.ckpt", "ground_truth": True}, {}):
+            with pytest.raises(cli.CliError, match="exactly one of"):
+                cli.cmd_evaluate(cfg, cli.Dataset(data), tmp_path / "no", **given)
+            assert not (tmp_path / "no").exists()
 
 
 class TestAtomicWrites:
@@ -555,10 +558,33 @@ class TestMainEntry:
             argv = ["predict", "--dataset", str(copy), "--checkpoint", str(ckpt)]
         else:
             argv = ["evaluate", "--dataset", str(copy), "--ground-truth", "--concat"]
-        for bad_line in ("nan nan nan", "1 2", "1 x 2"):
-            cloud.write_text("\n".join(lines[:1] + [bad_line] + lines[2:]) + "\n")
+        for bad_lines in (["nan nan nan"], ["1 2"], ["1 x 2"], []):   # [] drops a point
+            cloud.write_text("\n".join(lines[:1] + bad_lines + lines[2:]) + "\n")
             assert cli.main(argv + ["--out", str(out)]) == 1
-            assert "cloud.txt" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert str(cloud) in err
+            if not bad_lines:
+                assert f"47 points, but {copy / 'meta.txt'} has cloud_points = 48" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_checkpoint_for_another_cloud_size_fails_naming_both(self, tiny_checkpoint,
+                                                                 tmp_path, command, capsys,
+                                                                 monkeypatch):
+        _, _, ckpt = tiny_checkpoint
+        conf, data = tmp_path / "conf.txt", tmp_path / "dataset"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in
+                                tiny_overrides(count=5, cloud_points=64).items()))
+        assert cli.main(["generate", "--config", str(conf), "--out", str(data)]) == 0
+        meta = data / "meta.txt"
+        monkeypatch.setattr(cli, "load_dataset_sample",
+                            lambda *args: pytest.fail("a sample was read"))
+        out = tmp_path / "out"
+        argv = [command, "--dataset", str(data), "--checkpoint", str(ckpt), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert (f"error: {ckpt}: input_points = 48, but {meta} has cloud_points = 64"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_non_finite_mesh_fails_naming_the_file(self, tiny_dataset, tmp_path, capsys):
         _, data = tiny_dataset
@@ -681,6 +707,19 @@ class TestMainEntry:
         assert cli.main(argv) == 1
         first = sorted(pred.glob("*.txt"))[0]
         assert (f"error: {first}: linking needs segments of at least 2 poses"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_concat_of_ragged_segments_fails_naming_the_file(self, tiny_checkpoint, tmp_path,
+                                                            capsys):
+        cfg, data, ckpt = tiny_checkpoint
+        pred = cli.cmd_predict(cfg, ckpt, cli.Dataset(data), tmp_path / "pred")
+        first = sorted(pred.glob("*.txt"))[0]
+        first.write_text("".join(first.read_text().splitlines(True)[1:]))   # segment 0 loses one
+        out = tmp_path / "linked"
+        argv = ["concat", "--dataset", str(data), "--pred", str(pred), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert (f"error: {first}: segment 1 has 4 poses, segment 0 has 3"
                 in capsys.readouterr().err)
         assert not out.exists()
 

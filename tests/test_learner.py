@@ -123,13 +123,31 @@ class TestForward:
         params = init_params(cfg, 14)
         for chain, x in zip(learner._unpack(cfg, params.flat),
                             (rng.normal(size=(16, 3)), rng.normal(size=(3, 6)))):
-            out, caches = learner._mlp_forward(chain, x)
+            zs, caches = learner._mlp_buffers(chain, x)
+            out = learner._mlp_rows(chain, x, zs, slice(None))
             want, want_caches = _mlp_forward_reference(chain, x)
             assert np.array_equal(out, want)
             for (inp, z), (want_inp, want_z) in zip(caches, want_caches):
                 assert np.array_equal(inp, want_inp)
                 assert np.array_equal(z > 0.0, want_z > 0.0)
                 assert 0 < (want_z > 0.0).sum() < want_z.size
+
+    def test_flat_layout(self):
+        # distinct widths, so a swapped din/dout or a misplaced block changes a shape
+        cfg = ModelConfig(input_points=4, lam=2, slots=3, latent_dim=5,
+                          encoder_hidden=(2, 7), head_hidden=(9,))
+        flat = np.arange(num_params(cfg), dtype=float)
+        enc, head = learner._unpack(cfg, flat)
+        assert [w.shape for w, _ in enc] == [(3, 2), (2, 7), (7, 5)]
+        assert [w.shape for w, _ in head] == [(5, 9), (9, cfg.output_dim)]
+        assert [b.shape for _, b in enc + head] == [(2,), (7,), (5,), (9,), (cfg.output_dim,)]
+        assert all(np.shares_memory(a, flat) for layer in enc + head for a in layer)
+        # encoder first, each layer's W (row-major) before its b
+        assert np.array_equal(np.concatenate([a.ravel() for layer in enc + head
+                                              for a in layer]), flat)
+        init_enc, init_head = learner._unpack(cfg, init_params(cfg, 3).flat)
+        for w, b in init_enc + init_head:   # each block drawn within +-1/sqrt(din)
+            assert np.abs(np.concatenate([w.ravel(), b])).max() <= 1.0 / np.sqrt(len(w))
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from sprayseg.synthdata import (
     generate_object,
     output_slot_count,
     split_dataset,
-    validate_strokes,
 )
 
 from conftest import MALFORMED, malformed_rows
@@ -48,6 +47,14 @@ def _box_panels_reference(center, size, cell):
     return np.array(verts), np.array(faces)
 
 
+def assert_valid_strokes(strokes):
+    """Each stroke: valid poses, at least 2 of them, and a move at every step."""
+    for s in strokes:
+        s = geometry.check_poses(s)
+        assert len(s) >= 2
+        assert (np.linalg.norm(np.diff(s[:, :3], axis=0), axis=1) > 0).all()
+
+
 def record_equal(a, b):
     return (np.array_equal(a.mesh.vertices, b.mesh.vertices)
             and np.array_equal(a.mesh.faces, b.mesh.faces)
@@ -61,7 +68,7 @@ class TestGenerateObject:
         rec = generate_object("cuboids", seed=0)
         assert len(rec.strokes) == 6
         assert all(len(s) == 333 for s in rec.strokes)
-        validate_strokes(rec.strokes)
+        assert_valid_strokes(rec.strokes)
 
     def test_determinism(self):
         for cat in synthdata.CATEGORIES:
@@ -84,7 +91,7 @@ class TestGenerateObject:
     @pytest.mark.parametrize("category", synthdata.CATEGORIES)
     def test_orientations_point_at_surface(self, category):
         rec = generate_object(category, seed=4)
-        validate_strokes(rec.strokes)
+        assert_valid_strokes(rec.strokes)
         verts = rec.mesh.vertices
         for s in rec.strokes:
             for pose in s[:: max(1, len(s) // 25)]:
